@@ -104,14 +104,6 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
     return idx
 
 
-def _fragment_file_span(elem, fragment: str, value: str) -> Optional[SourceSpan]:
-    """Content span of a fragment, only when token offsets map 1:1 to the file."""
-    span = elem.fragment_span(fragment)
-    if span is None or span.length != len(value):
-        return None  # escapes shifted the mapping; no precise edits
-    return span
-
-
 def check_glossary(
     rm: ResolvedModel, lex: Lexicon, glossary: Optional[GlossaryIndex] = None, scan_ids: bool = False
 ) -> list[Diagnostic]:
@@ -123,7 +115,7 @@ def check_glossary(
             value = elem.fragment_value(fragment)
             if not value:
                 continue
-            base = _fragment_file_span(elem, fragment, value)
+            base = elem.exact_fragment_span(fragment)
             for token in analyze(value, lex):
                 hit = glossary.entries.get(token.surface.lower()) or glossary.entries.get(token.lemma)
                 if hit is None:
@@ -134,15 +126,7 @@ def check_glossary(
                     replacement = replacement[0].upper() + replacement[1:]
                 message = f"Replace the word '{token.surface}' by the main word '{main}'"
                 if base is not None:
-                    span = SourceSpan(
-                        base.file,
-                        base.start_line,
-                        base.start_col + token.start,
-                        base.start_line,
-                        base.start_col + token.end,
-                        base.offset + token.start,
-                        token.end - token.start,
-                    )
+                    span = base.slice(token.start, token.end)
                     fixes = (QuickFix(message, (TextEdit(span, replacement),)),)
                 else:
                     span = elem.fragment_span(fragment) or elem.span

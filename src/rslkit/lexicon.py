@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Optional
 
@@ -112,8 +113,13 @@ def load_lexicon(path: str, suffix_path: Optional[str] = None, language: str = "
     return lex
 
 
+@cache
 def builtin_lexicon(language: str) -> Optional[Lexicon]:
-    """Shipped lexicon for a language, or None when we carry none."""
+    """Shipped lexicon for a language, or None when we carry none.
+
+    Loaded once per language for the life of the process and shared by
+    every caller; nothing mutates a loaded Lexicon.
+    """
     code = BUILTIN_LEXICONS.get(language)
     if code is None:
         return None

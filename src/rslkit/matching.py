@@ -4,22 +4,32 @@ Prefix semantics: trailing tokens beyond the pattern are allowed.
 Element-fragment references match the longest token run whose surfaces
 or lemmas equal an existing element's fragment, with backtracking so a
 shorter run is tried when a later part would otherwise fail.
+
+Cost. A FragmentIndex is built once per element list; it normalizes each
+(kind, fragment) set on first use, O(E) in all. Each match_pattern call
+then compares O(parts x tokens x longest name) token windows:
+
+- A fragment-reference run is capped at the word count of the longest
+  normalized value of its (kind, fragment). The cap is exact: a window
+  of k tokens joined by spaces has at least k space-separated pieces, so
+  it can only equal a value of at least k words.
+- Failed (part, token) states are memoized during backtracking. A state
+  fails the same way on every visit, and its furthest-failure record is
+  set on the first one, so every MatchResult field is unchanged.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .lexicon import Token
+from .lexicon import WORD_RE, Token
 from .model import AltPart, FragmentRefPart, LitPart, PosPart, PatternExpr, POS_CATEGORIES
-
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 
 def normalize(text: str) -> str:
-    return " ".join(_WORD_RE.findall(text.lower()))
+    # Token surfaces come from the same WORD_RE, which makes the run cap exact.
+    return " ".join(WORD_RE.findall(text.lower()))
 
 
 @dataclass(frozen=True)
@@ -32,32 +42,39 @@ class MatchResult:
     candidate: Optional[str] = None  # suggested name for FragmentRef failures
 
 
-def _fragment_values(elements, kind: str, fragment: str) -> set[str]:
-    values = set()
-    for elem in elements:
-        if elem.kind != kind:
-            continue
-        value = elem.fragment_value(fragment)
-        if value:
-            values.add(normalize(value))
-    return values
+class FragmentIndex:
+    """Normalized fragment values of one element list, per (kind, fragment)."""
+
+    def __init__(self, elements):
+        self._elements = elements
+        self._entries: dict[tuple[str, str], tuple[set[str], int]] = {}
+
+    def values(self, kind: str, fragment: str) -> tuple[set[str], int]:
+        """The normalized values and the largest word count among them."""
+        key = (kind, fragment)
+        entry = self._entries.get(key)
+        if entry is None:
+            values = set()
+            for elem in self._elements:
+                if elem.kind != kind:
+                    continue
+                value = elem.fragment_value(fragment)
+                if value:
+                    values.add(normalize(value))
+            longest = max((len(v.split()) for v in values), default=0)
+            entry = self._entries[key] = (values, longest)
+        return entry
 
 
 def _title(word: str) -> str:
     return word[:1].upper() + word[1:]
 
 
-def match_pattern(pattern: PatternExpr, tokens: list[Token], elements) -> MatchResult:
+def match_pattern(pattern: PatternExpr, tokens: list[Token], index: FragmentIndex) -> MatchResult:
     """Match pattern parts left to right against tokens (prefix semantics)."""
     parts = pattern.parts
-    frag_cache: dict[tuple[str, str], set[str]] = {}
     best = [0, 0]  # furthest failure: token index, part index
-
-    def frag_values(part: FragmentRefPart) -> set[str]:
-        key = (part.element_kind, part.fragment)
-        if key not in frag_cache:
-            frag_cache[key] = _fragment_values(elements, part.element_kind, part.fragment)
-        return frag_cache[key]
+    failed: set[tuple[int, int]] = set()
 
     def fail(pi: int, ti: int):
         if (ti, pi) > tuple(best):
@@ -82,9 +99,9 @@ def match_pattern(pattern: PatternExpr, tokens: list[Token], elements) -> MatchR
                 yield 1
             return
         if isinstance(part, FragmentRefPart):
-            targets = frag_values(part)
+            targets, longest = index.values(part.element_kind, part.fragment)
             # Longest run first so plural/singular multi-word names win.
-            for run in range(len(tokens) - ti, 0, -1):
+            for run in range(min(len(tokens) - ti, longest), 0, -1):
                 window = tokens[ti : ti + run]
                 surfaces = " ".join(t.surface.lower() for t in window)
                 lemmas = " ".join(t.lemma for t in window)
@@ -96,6 +113,8 @@ def match_pattern(pattern: PatternExpr, tokens: list[Token], elements) -> MatchR
     def walk(pi: int, ti: int) -> Optional[int]:
         if pi == len(parts):
             return ti
+        if (pi, ti) in failed:
+            return None
         produced = False
         for count in consume(parts[pi], ti):
             produced = True
@@ -104,9 +123,15 @@ def match_pattern(pattern: PatternExpr, tokens: list[Token], elements) -> MatchR
                 return result
         if not produced:
             fail(pi, ti)
+        failed.add((pi, ti))
         return None
 
     consumed = walk(0, 0)
+    # walk and consume call themselves, so their closures form reference
+    # cycles. Dropping them frees this call's state at once; left to the
+    # cyclic collector, its passes over a large model made checking
+    # superlinear in the model size.
+    del walk, consume
     if consumed is not None:
         return MatchResult(True, prefix_len=consumed)
 

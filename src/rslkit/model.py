@@ -61,6 +61,18 @@ class SourceSpan:
         # Zero-length spans at the same offset are insertions, not overlaps.
         return self.offset < other.end_offset and other.offset < self.end_offset
 
+    def slice(self, start: int, end: int) -> "SourceSpan":
+        """Characters start..end of a single-line span."""
+        return SourceSpan(
+            self.file,
+            self.start_line,
+            self.start_col + start,
+            self.start_line,
+            self.start_col + end,
+            self.offset + start,
+            end - start,
+        )
+
 
 def zero_span(file: str = "<generated>") -> SourceSpan:
     return SourceSpan(file, 1, 1, 1, 1, 0, 0)
@@ -232,6 +244,14 @@ class Element:
             "name": self.name_span,
             "description": self.description_span,
         }.get(fragment)
+
+    def exact_fragment_span(self, fragment: str) -> Optional[SourceSpan]:
+        """Content span of a fragment, only when its offsets map 1:1 to the file."""
+        span = self.fragment_span(fragment)
+        value = self.fragment_value(fragment)
+        if span is None or value is None or span.length != len(value):
+            return None  # escapes shifted the mapping; no precise edits
+        return span
 
 
 @dataclass

@@ -7,11 +7,10 @@ diagnostics, and a missing element name yields a create-element quick fix.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
-from .lexicon import Lexicon, analyze, split_sentences
-from .matching import MatchResult, match_pattern
+from .lexicon import WORD_RE, Lexicon, analyze, split_sentences
+from .matching import FragmentIndex, MatchResult, match_pattern
 from .model import (
     AltPart,
     Diagnostic,
@@ -29,11 +28,9 @@ from .workspace import ResolvedModel
 
 ID_PREFIXES = {"DataEntity": "ec", "Actor": "a", "UseCase": "uc"}
 
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
-
 
 def _camel(name: str) -> str:
-    return "".join(w[:1].upper() + w[1:] for w in _WORD_RE.findall(name))
+    return "".join(w[:1].upper() + w[1:] for w in WORD_RE.findall(name))
 
 
 def _fresh_id(kind: str, candidate: str, taken: set[str]) -> str:
@@ -85,6 +82,7 @@ def check_linguistic_rules(
     taken_ids = {e.id for e in rm.effective_elements}
     append_at = rm.model.end_span
     creations: dict[tuple[str, str], QuickFix] = {}  # reuse one fix per (kind, name)
+    index = FragmentIndex(rm.effective_elements)
 
     for rule in rules:
         if rule.pattern is None:
@@ -110,11 +108,13 @@ def check_linguistic_rules(
                 if rule.fragment == "description"
                 else [(0, value)]
             )
-            for _, sentence in pieces:
+            # Several sentences: point at the failing one, where offsets map 1:1.
+            exact = elem.exact_fragment_span(rule.fragment) if len(pieces) > 1 else None
+            for offset, sentence in pieces:
                 tokens = analyze(sentence, lex)
                 if not tokens:
                     continue
-                result = match_pattern(rule.pattern, tokens, rm.effective_elements)
+                result = match_pattern(rule.pattern, tokens, index)
                 if result.matched:
                     continue
                 message = (
@@ -144,6 +144,10 @@ def check_linguistic_rules(
                             (TextEdit(insert, f"\n{decl}\n"),),
                         )
                     fixes = (creations[key],)
-                span = elem.fragment_span(rule.fragment) or elem.span
+                if exact is not None:
+                    lead = len(sentence) - len(sentence.lstrip())
+                    span = exact.slice(offset + lead, offset + len(sentence.rstrip()))
+                else:
+                    span = elem.fragment_span(rule.fragment) or elem.span
                 diags.append(Diagnostic(rule.severity, "RSL-L001", message, span, fixes=fixes))
     return diags

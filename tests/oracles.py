@@ -3,9 +3,17 @@
 The cycle oracle here deliberately avoids strongly connected components:
 a node lies on a simple cycle exactly when it is reachable from one of
 its own successors, which plain BFS decides.
+
+The matcher oracle is the plain backtracking search: it rescans the
+element list for fragment values on every call, tries every run length
+and memoizes nothing, so it is exponential on adversarial input.
 """
 
 from collections import deque
+from typing import Optional
+
+from rslkit.matching import MatchResult, normalize
+from rslkit.model import AltPart, FragmentRefPart, LitPart, PosPart, POS_CATEGORIES
 
 
 def reachable_from(graph: dict, start) -> set:
@@ -64,3 +72,94 @@ def nodes_on_simple_cycles(graph: dict) -> set:
     for cycle in enumerate_simple_cycles(graph):
         out.update(cycle)
     return out
+
+
+def _fragment_values(elements, kind: str, fragment: str) -> set:
+    values = set()
+    for elem in elements:
+        if elem.kind != kind:
+            continue
+        value = elem.fragment_value(fragment)
+        if value:
+            values.add(normalize(value))
+    return values
+
+
+def oracle_match_pattern(pattern, tokens, elements) -> MatchResult:
+    """Match pattern parts left to right against tokens (prefix semantics)."""
+    parts = pattern.parts
+    frag_cache: dict = {}
+    best = [0, 0]  # furthest failure: token index, part index
+
+    def frag_values(part: FragmentRefPart) -> set:
+        key = (part.element_kind, part.fragment)
+        if key not in frag_cache:
+            frag_cache[key] = _fragment_values(elements, part.element_kind, part.fragment)
+        return frag_cache[key]
+
+    def fail(pi: int, ti: int):
+        if (ti, pi) > tuple(best):
+            best[0], best[1] = ti, pi
+
+    def consume(part, ti: int):
+        if isinstance(part, AltPart):
+            for option in part.options:
+                yield from consume(option, ti)
+            return
+        if ti >= len(tokens):
+            return
+        tok = tokens[ti]
+        if isinstance(part, PosPart):
+            if POS_CATEGORIES[part.category] in tok.tags:
+                yield 1
+            return
+        if isinstance(part, LitPart):
+            if tok.surface.lower() == part.text.lower():
+                yield 1
+            return
+        if isinstance(part, FragmentRefPart):
+            targets = frag_values(part)
+            for run in range(len(tokens) - ti, 0, -1):
+                window = tokens[ti : ti + run]
+                surfaces = " ".join(t.surface.lower() for t in window)
+                lemmas = " ".join(t.lemma for t in window)
+                if surfaces in targets or lemmas in targets:
+                    yield run
+            return
+        raise TypeError(part)
+
+    def walk(pi: int, ti: int) -> Optional[int]:
+        if pi == len(parts):
+            return ti
+        produced = False
+        for count in consume(parts[pi], ti):
+            produced = True
+            result = walk(pi + 1, ti + count)
+            if result is not None:
+                return result
+        if not produced:
+            fail(pi, ti)
+        return None
+
+    consumed = walk(0, 0)
+    if consumed is not None:
+        return MatchResult(True, prefix_len=consumed)
+
+    fail_ti, fail_pi = best
+    part = parts[fail_pi]
+    candidate = None
+    ref = part if isinstance(part, FragmentRefPart) else None
+    if ref is None and isinstance(part, AltPart):
+        refs = [o for o in part.options if isinstance(o, FragmentRefPart)]
+        ref = refs[0] if refs else None
+    if ref is not None:
+        remaining = tokens[fail_ti : fail_ti + 3]
+        if remaining:
+            candidate = " ".join(t.surface[:1].upper() + t.surface[1:] for t in remaining)
+    return MatchResult(
+        False,
+        fail_part_index=fail_pi,
+        fail_token_index=fail_ti,
+        expectation=part,
+        candidate=candidate,
+    )

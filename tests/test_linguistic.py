@@ -1,5 +1,6 @@
 """Linguistic rule checking end to end: diagnostics, messages, create fixes."""
 
+import rslkit.matching
 from conftest import by_code, check_fixture, check_source
 from rslkit.model import apply_edits
 
@@ -10,6 +11,19 @@ UC_RULE = (
     "  severity Error\n"
     "]\n"
 )
+
+FR_RULE = (
+    'LinguisticRule LR "FR text" : Syntax [\n'
+    "  property FunctionalRequirement.description\n"
+    '  pattern "System" + "shall" + (Verb)\n'
+    "  severity Error\n"
+    "]\n"
+)
+
+
+def fr_spec(description: str) -> str:
+    """The FR rule plus one requirement whose description literal is given."""
+    return FR_RULE + f'FunctionalRequirement fr_1 "F" : Functional [\n  description "{description}"\n]\n'
 
 
 class TestUseCaseNameScenario:
@@ -76,18 +90,29 @@ class TestRuleMechanics:
         assert d.severity == "Warning"
 
     def test_description_checked_per_sentence(self):
-        src = (
-            'LinguisticRule LR "FR text" : Syntax [\n'
-            "  property FunctionalRequirement.description\n"
-            '  pattern "System" + "shall" + (Verb)\n'
-            "  severity Error\n"
-            "]\n"
-            'FunctionalRequirement fr_1 "F" : Functional [\n'
-            '  description "System shall print. Users may not."\n'
-            "]\n"
-        )
-        _, diags = check_source(src)
+        _, diags = check_source(fr_spec("System shall print. Users may not."))
         assert len(by_code(diags, "RSL-L001")) == 1  # only the second sentence fails
+
+    def test_failing_sentence_is_the_range(self):
+        src = fr_spec("System shall print. Users may not.")
+        _, diags = check_source(src)
+        (d,) = by_code(diags, "RSL-L001")
+        assert src[d.span.offset : d.span.end_offset] == "Users may not"
+        assert (d.span.start_line, d.span.end_line) == (7, 7)
+        assert d.span.end_col - d.span.start_col == len("Users may not")
+
+    def test_each_failing_sentence_gets_its_own_range(self):
+        src = fr_spec("Users may not. Users may not.")
+        _, diags = check_source(src)
+        l001 = by_code(diags, "RSL-L001")
+        assert [src[d.span.offset : d.span.end_offset] for d in l001] == ["Users may not"] * 2
+        assert l001[0].span.offset < l001[1].span.offset
+
+    def test_escaped_description_keeps_whole_range(self):
+        rm, diags = check_source(fr_spec('System shall \\"print\\". Users may not.'))
+        (d,) = by_code(diags, "RSL-L001")
+        fr = next(e for e in rm.effective_elements if e.id == "fr_1")
+        assert d.span == fr.description_span
 
     def test_rule_does_not_check_itself(self):
         src = (
@@ -136,3 +161,22 @@ class TestRuleMechanics:
         (d,) = by_code(diags, "RSL-L001")
         new_text = d.fixes[0].edits[0].new_text
         assert "ec_Report_2" in new_text
+
+
+def test_name_normalizations_grow_linearly_with_the_spec(monkeypatch):
+    calls = []
+    real = rslkit.matching.normalize
+    monkeypatch.setattr(rslkit.matching, "normalize", lambda text: calls.append(text) or real(text))
+
+    def count(pairs: int) -> int:
+        src = UC_RULE + "".join(
+            f'DataEntity e_{i} "Record {i}" : Other\nUseCase uc_{i} "Print Record {i}" : Other\n'
+            for i in range(pairs)
+        )
+        calls.clear()
+        _, diags = check_source(src)
+        assert by_code(diags, "RSL-L001") == []
+        return len(calls)
+
+    small, large = count(40), count(80)
+    assert small > 0 and large / small <= 2.2
