@@ -104,14 +104,11 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
     return idx
 
 
-def check_glossary(
-    rm: ResolvedModel, lex: Lexicon, glossary: Optional[GlossaryIndex] = None, scan_ids: bool = False
-) -> list[Diagnostic]:
+def check_glossary(rm: ResolvedModel, lex: Lexicon, glossary: Optional[GlossaryIndex] = None) -> list[Diagnostic]:
     glossary = glossary or build_glossary(rm)
     diags = []
-    fragments = ["name", "description"] + (["id"] if scan_ids else [])
     for elem in rm.effective_elements:
-        for fragment in fragments:
+        for fragment in ("name", "description"):
             value = elem.fragment_value(fragment)
             if not value:
                 continue

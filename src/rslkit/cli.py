@@ -36,14 +36,19 @@ def parse_mapping(pairs: list[str], what: str) -> dict:
     return out
 
 
+def read_source(path: str, what: str = "") -> str:
+    """UTF-8 text of a file; unreadable or undecodable files are usage errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        what = what or f"'{path}'"
+        raise UsageError(f"cannot read {what}: {exc}")
+
+
 def read_manifest(path: str) -> dict:
     mapping = {}
     base = Path(path).parent
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read manifest: {exc}")
-    for line in lines:
+    for line in read_source(path, "manifest").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -65,34 +70,23 @@ def build_workspace(paths: list[str], args, sources: dict | None = None):
     ws = Workspace()
     targets = []
 
-    def system_name(path: str) -> str:
-        return path_to_name.get(str(Path(path)), Path(path).stem)
+    def load(name: str, path: str, file: str):
+        text = (sources or {}).get(str(Path(path)))
+        add_system(ws, name, read_source(path) if text is None else text, file)
 
     seen = set()
     for path in paths:
-        name = system_name(path)
+        name = path_to_name.get(str(Path(path)), Path(path).stem)
         if name in seen:
             continue
         seen.add(name)
-        text = (sources or {}).get(str(Path(path)))
-        if text is None:
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise UsageError(f"cannot read '{path}': {exc}")
-        add_system(ws, name, text, str(path))
+        load(name, path, str(path))
         targets.append((name, str(Path(path))))
     for name, path in mapping.items():
         if name in seen:
             continue
         seen.add(name)
-        text = (sources or {}).get(str(Path(path)))
-        if text is None:
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise UsageError(f"cannot read '{path}': {exc}")
-        add_system(ws, name, text, str(Path(path)))
+        load(name, path, str(Path(path)))
     return ws, targets
 
 
@@ -102,7 +96,7 @@ def load_lexicon_overrides(args) -> dict:
         suffix_path = path + ".rules" if Path(path + ".rules").exists() else None
         try:
             overrides[lang] = load_lexicon(path, suffix_path, language=lang)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read lexicon '{path}': {exc}")
     return overrides
 
@@ -245,7 +239,7 @@ def cmd_fix(args) -> int:
         if path not in member_files:
             print(f"skipped fixes for non-workspace file {path}")
             continue
-        old = Path(path).read_text(encoding="utf-8")
+        old = read_source(path)
         try:
             new = apply_edits(old, edits)
         except OverlappingEdits as exc:
@@ -259,7 +253,7 @@ def cmd_fix(args) -> int:
             Path(path).write_text(text, encoding="utf-8")
     else:
         for path, text in sorted(new_sources.items()):
-            old = Path(path).read_text(encoding="utf-8")
+            old = read_source(path)
             diff = difflib.unified_diff(
                 old.splitlines(keepends=True),
                 text.splitlines(keepends=True),
@@ -299,10 +293,7 @@ def cmd_gen(args) -> int:
     else:
         if not args.template:
             raise UsageError("gen template needs --template")
-        try:
-            tpl_text = Path(args.template).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot read template: {exc}")
+        tpl_text = read_source(args.template, "template")
         try:
             output = render_template(parse_template(tpl_text), rm, strict=not args.lenient)
         except (TemplateSyntaxError, UnresolvedTags, ExpressionTypeError) as exc:

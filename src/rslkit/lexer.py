@@ -1,110 +1,135 @@
 """Tokenizer for the requirements language.
 
-Produces identifier / string / punctuation tokens with full spans.
+One compiled regular expression scans the source: each match skips the
+whitespace and `//` comments before a token, then matches an identifier,
+a digit run, a string, a punctuation mark or a single other character.
+Tokens carry only their kind, text and start/end offsets plus a shared
+line-start table of the source; a token's `span` (line and column) is
+computed from that table with `bisect` only when someone asks for it, so
+the many tokens nobody reports on cost no span.
+
+Identifiers start with a character for which `str.isalpha()` holds (or
+`_`) and go on over `str.isalnum()` characters (or `_`); digit runs are
+`str.isdigit()` characters. Python's `\\d` (decimal digits only) and a
+`\\w` start (which admits `½` and `²`) differ from these predicates
+outside ASCII, so the pattern matches ASCII-started words and digit runs
+directly and any other character takes a per-character path that applies
+the exact predicates.
+
 Never raises on malformed input; lexical problems become error tokens
 that the parser turns into diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
 
 from .model import SourceSpan
 
-PUNCT = set(":[](),+|.")
+_TOKEN_RE = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*)*
+    (?:
+        (?P<identifier>[A-Za-z_]\w*)
+      | (?P<digits>[0-9]+)(?![0-9]|[^\x00-\x7f])
+      | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<close>"?))
+      | (?P<punct>[:\[\](),+|.])
+      | (?P<other>.)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
+_WORD_TAIL_RE = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
+class LineTable:
+    """Line-start offsets of one source, for turning offsets into spans."""
+
+    __slots__ = ("source", "file", "starts")
+
+    def __init__(self, source: str, file: str):
+        self.source = source
+        self.file = file
+        starts = [0]
+        i = source.find("\n")
+        while i != -1:
+            starts.append(i + 1)
+            i = source.find("\n", i + 1)
+        self.starts = starts
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """Span of source[start:end]; lines and columns are 1-based."""
+        starts = self.starts
+        start_line = bisect_right(starts, start)
+        end_line = bisect_right(starts, end, start_line - 1)
+        return SourceSpan(
+            self.file,
+            start_line,
+            start - starts[start_line - 1] + 1,
+            end_line,
+            end - starts[end_line - 1] + 1,
+            start,
+            end - start,
+        )
+
+
 class RslToken:
-    kind: str  # identifier | string | punct | error | end
-    text: str  # surface text; for strings, the decoded value
-    span: SourceSpan
-    raw: str = ""  # original source text (useful for strings)
+    __slots__ = ("kind", "text", "start", "end", "lines")
+
+    def __init__(self, kind: str, text: str, start: int, end: int, lines: LineTable):
+        self.kind = kind  # identifier | string | punct | error | end
+        self.text = text  # surface text; for strings, the decoded value
+        self.start = start
+        self.end = end
+        self.lines = lines
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.lines.span(self.start, self.end)
+
+    @property
+    def raw(self) -> str:
+        """Original source text (differs from `text` for strings)."""
+        return self.lines.source[self.start : self.end]
+
+    def __repr__(self) -> str:
+        return f"RslToken({self.kind!r}, {self.text!r}, {self.start}, {self.end})"
 
 
 def tokenize(source: str, file: str = "<memory>") -> list[RslToken]:
+    lines = LineTable(source, file)
     tokens: list[RslToken] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos, n = 0, len(source)
+    while True:
+        m = match(source, pos)
+        group = m.lastgroup
+        if group is None:  # only whitespace and comments were left
+            break
+        start, pos = m.start(group), m.end()
+        if group == "identifier" or group == "digits":
+            append(RslToken("identifier", m.group(group), start, pos, lines))
+        elif group == "punct":
+            append(RslToken("punct", m.group(group), start, pos, lines))
+        elif group == "string":
+            body = m.group("body")
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(r"\1", body)
+            append(RslToken("string" if m.group("close") else "error", body, start, pos, lines))
+        else:
+            ch = source[start]
+            if ch.isalpha():
+                pos = _WORD_TAIL_RE.match(source, pos).end()
+                kind = "identifier"
+            elif ch.isdigit():
+                while pos < n and source[pos].isdigit():
+                    pos += 1
+                kind = "identifier"
             else:
-                col += 1
-
-    def make(kind, text, start, start_line, start_col, raw=None):
-        span = SourceSpan(file, start_line, start_col, line, col, start, i - start)
-        tokens.append(RslToken(kind, text, span, raw if raw is not None else text))
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == "/" and source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j == -1 else j
-            advance(source[i:j])
-            i = j
-            continue
-        start, sl, sc = i, line, col
-        if ch == '"':
-            value = []
-            j = i + 1
-            terminated = False
-            while j < n:
-                c = source[j]
-                if c == "\\" and j + 1 < n and source[j + 1] in ('"', "\\"):
-                    value.append(source[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    terminated = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                value.append(c)
-                j += 1
-            raw = source[i:j]
-            advance(raw)
-            i = j
-            make("string" if terminated else "error", "".join(value), start, sl, sc, raw)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            advance(word)
-            i = j
-            make("identifier", word, start, sl, sc)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            word = source[i:j]
-            advance(word)
-            i = j
-            make("identifier", word, start, sl, sc)
-            continue
-        if ch in PUNCT:
-            advance(ch)
-            i += 1
-            make("punct", ch, start, sl, sc)
-            continue
-        advance(ch)
-        i += 1
-        make("error", ch, start, sl, sc)
-
-    end_span = SourceSpan(file, line, col, line, col, n, 0)
-    tokens.append(RslToken("end", "", end_span))
+                kind = "error"
+            append(RslToken(kind, source[start:pos], start, pos, lines))
+    append(RslToken("end", "", n, n, lines))
     return tokens
 
 
@@ -114,14 +139,4 @@ def content_span(token: RslToken) -> SourceSpan:
     Only exact when the literal carries no escapes; callers needing edit
     precision should check that first.
     """
-    s = token.span
-    inner_len = max(len(token.raw) - 2, 0)
-    return SourceSpan(
-        s.file,
-        s.start_line,
-        s.start_col + 1,
-        s.end_line,
-        max(s.end_col - 1, s.start_col + 1),
-        s.offset + 1,
-        inner_len,
-    )
+    return token.lines.span(token.start + 1, max(token.end - 1, token.start + 1))

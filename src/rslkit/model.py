@@ -74,10 +74,6 @@ class SourceSpan:
         )
 
 
-def zero_span(file: str = "<generated>") -> SourceSpan:
-    return SourceSpan(file, 1, 1, 1, 1, 0, 0)
-
-
 @dataclass(frozen=True)
 class TextEdit:
     span: SourceSpan
@@ -146,8 +142,6 @@ POS_CATEGORIES = {
     "Number": "NUM",
 }
 
-UPOS_TO_CATEGORY = {v: k for k, v in POS_CATEGORIES.items()}
-
 
 @dataclass(frozen=True)
 class PosPart:
@@ -168,9 +162,6 @@ class FragmentRefPart:
 @dataclass(frozen=True)
 class AltPart:
     options: tuple  # of PosPart | LitPart | FragmentRefPart
-
-
-PatternPart = object  # union of the four part classes
 
 
 @dataclass(frozen=True)

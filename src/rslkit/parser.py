@@ -68,9 +68,8 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> RslToken:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> RslToken:
+        return self.tokens[self.pos]
 
     def next(self) -> RslToken:
         tok = self.tokens[self.pos]
@@ -114,17 +113,9 @@ class _Parser:
 
     def span_from(self, start: RslToken) -> SourceSpan:
         last = self.tokens[max(self.pos - 1, 0)]
-        if last.span.offset < start.span.offset:
+        if last.start < start.start:
             last = start
-        return SourceSpan(
-            self.file,
-            start.span.start_line,
-            start.span.start_col,
-            last.span.end_line,
-            last.span.end_col,
-            start.span.offset,
-            last.span.end_offset - start.span.offset,
-        )
+        return start.lines.span(start.start, last.end)
 
     # -- document ----------------------------------------------------------
 

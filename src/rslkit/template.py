@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -496,12 +496,6 @@ def _call(expr: Call, scopes: list[dict]):
 
 
 # --- rendering -------------------------------------------------------------------
-
-@dataclass
-class RenderResult:
-    text: str
-    unresolved: list = field(default_factory=list)
-
 
 def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
     out: list[str] = []

@@ -42,13 +42,13 @@ class Workspace:
 
 
 def load_workspace(files: list[tuple[str, str]]) -> Workspace:
-    """Parse every (systemId, path) pair; I/O failures are recorded, not raised."""
+    """Parse every (systemId, path) pair; read and decode failures are recorded, not raised."""
     ws = Workspace()
     for system_id, path in files:
         try:
             with open(path, encoding="utf-8") as f:
                 source = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             ws.io_errors.append((system_id, path, str(exc)))
             continue
         add_system(ws, system_id, source, str(path))

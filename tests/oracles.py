@@ -7,13 +7,18 @@ its own successors, which plain BFS decides.
 The matcher oracle is the plain backtracking search: it rescans the
 element list for fragment values on every call, tries every run length
 and memoizes nothing, so it is exponential on adversarial input.
+
+The tokenizer oracle is the character loop the lexer used to be: it
+walks every character to keep line and column and builds every span
+eagerly.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from rslkit.matching import MatchResult, normalize
-from rslkit.model import AltPart, FragmentRefPart, LitPart, PosPart, POS_CATEGORIES
+from rslkit.model import AltPart, FragmentRefPart, LitPart, PosPart, POS_CATEGORIES, SourceSpan
 
 
 def reachable_from(graph: dict, start) -> set:
@@ -163,3 +168,97 @@ def oracle_match_pattern(pattern, tokens, elements) -> MatchResult:
         expectation=part,
         candidate=candidate,
     )
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    kind: str
+    text: str
+    span: SourceSpan
+    raw: str = ""
+
+
+def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
+    tokens: list[OracleToken] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+
+    def advance(text: str):
+        nonlocal line, col
+        for ch in text:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    def make(kind, text, start, start_line, start_col, raw=None):
+        span = SourceSpan(file, start_line, start_col, line, col, start, i - start)
+        tokens.append(OracleToken(kind, text, span, raw if raw is not None else text))
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(ch)
+            i += 1
+            continue
+        if ch == "/" and source.startswith("//", i):
+            j = source.find("\n", i)
+            j = n if j == -1 else j
+            advance(source[i:j])
+            i = j
+            continue
+        start, sl, sc = i, line, col
+        if ch == '"':
+            value = []
+            j = i + 1
+            terminated = False
+            while j < n:
+                c = source[j]
+                if c == "\\" and j + 1 < n and source[j + 1] in ('"', "\\"):
+                    value.append(source[j + 1])
+                    j += 2
+                    continue
+                if c == '"':
+                    terminated = True
+                    j += 1
+                    break
+                if c == "\n":
+                    break
+                value.append(c)
+                j += 1
+            raw = source[i:j]
+            advance(raw)
+            i = j
+            make("string" if terminated else "error", "".join(value), start, sl, sc, raw)
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            advance(word)
+            i = j
+            make("identifier", word, start, sl, sc)
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            word = source[i:j]
+            advance(word)
+            i = j
+            make("identifier", word, start, sl, sc)
+            continue
+        if ch in ":[](),+|.":
+            advance(ch)
+            i += 1
+            make("punct", ch, start, sl, sc)
+            continue
+        advance(ch)
+        i += 1
+        make("error", ch, start, sl, sc)
+
+    end_span = SourceSpan(file, line, col, line, col, n, 0)
+    tokens.append(OracleToken("end", "", end_span))
+    return tokens

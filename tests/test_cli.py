@@ -211,5 +211,42 @@ class TestGen:
         assert out_path.read_text() == "Hello !\n"
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a usage error (exit 2), never a traceback."""
+
+    LATIN1 = b'Actor a_x "Caf\xe9" : User\n'
+
+    def assert_usage_error(self, argv, capsys, what):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert f"error: cannot read {what}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["check"], ["fix", "--dry-run"], ["gen", "json"]], ids=["check", "fix", "gen"])
+    def test_spec(self, argv, tmp_path, capsys):
+        spec = tmp_path / "latin1.rsl"
+        spec.write_bytes(self.LATIN1)
+        argv = argv + [str(spec)] + (["-o", str(tmp_path / "x")] if argv[0] == "gen" else [])
+        self.assert_usage_error(argv, capsys, f"'{spec}'")
+
+    def test_template(self, tmp_path, capsys):
+        tpl = tmp_path / "latin1.tpl"
+        tpl.write_bytes(b"Caf\xe9 {name}\n")
+        argv = ["gen", "template", str(FIXTURES / "billing_clean.rsl"), "--template", str(tpl)]
+        self.assert_usage_error(argv + ["-o", str(tmp_path / "x")], capsys, "template")
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "workspace.txt"
+        manifest.write_bytes(b"Syst\xe8me=system_rules.rsl\n")
+        argv = ["check", str(FIXTURES / "billing_clean.rsl"), "--manifest", str(manifest)]
+        self.assert_usage_error(argv, capsys, "manifest")
+
+    def test_lexicon(self, tmp_path, capsys):
+        lexicon = tmp_path / "en.tsv"
+        lexicon.write_bytes(b"caf\xe9\tNOUN\n")
+        argv = ["check", str(FIXTURES / "billing_clean.rsl"), "--lexicon", f"English={lexicon}"]
+        self.assert_usage_error(argv, capsys, "lexicon")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2

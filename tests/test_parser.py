@@ -120,6 +120,19 @@ class TestSpans:
             assert chunk.startswith(elem.kind)
             assert src[elem.id_span.offset : elem.id_span.offset + elem.id_span.length] == elem.id
 
+    def test_multiline_spans_have_line_and_col_of_their_offsets(self):
+        src = fixture_text("billing_clean.rsl")
+        model, _ = parse(src, "f")
+
+        def line_col(offset):
+            return src.count("\n", 0, offset) + 1, offset - (src.rfind("\n", 0, offset) + 1) + 1
+
+        spans = [e.span for e in model.elements] + [model.end_span]
+        assert any(s.start_line != s.end_line for s in spans)
+        for s in spans:
+            assert (s.start_line, s.start_col) == line_col(s.offset)
+            assert (s.end_line, s.end_col) == line_col(s.end_offset)
+
     def test_name_span_content_when_no_escapes(self):
         src = 'Actor a_1 "Manager" : User'
         model, _ = parse(src, "f")

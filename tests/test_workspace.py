@@ -187,3 +187,11 @@ def test_load_workspace_records_io_errors(tmp_path):
     ws = load_workspace([("Missing", str(tmp_path / "nope.rsl"))])
     assert ws.io_errors and ws.io_errors[0][0] == "Missing"
     assert ws.systems == {}
+
+
+def test_load_workspace_records_decode_errors(tmp_path):
+    path = tmp_path / "latin1.rsl"
+    path.write_bytes(b'Actor a_x "Caf\xe9" : User\n')
+    ws = load_workspace([("Latin1", str(path))])
+    assert ws.io_errors and ws.io_errors[0][:2] == ("Latin1", str(path))
+    assert ws.systems == {}
