@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .checks import run_all_checks
@@ -17,7 +20,7 @@ from .docgen import ensure_valid, generate_json, generate_text, render_template
 from .lexicon import load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
 from .template import ExpressionTypeError, TemplateSyntaxError, UnresolvedTags, parse_template
-from .workspace import Workspace, add_system, resolve
+from .workspace import Workspace, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
 
@@ -59,34 +62,38 @@ def read_manifest(path: str) -> dict:
     return mapping
 
 
-def build_workspace(paths: list[str], args, sources: dict | None = None):
-    """Returns (workspace, [(systemId, path)] target documents)."""
+def build_workspace(paths: list[str], args):
+    """Returns (workspace, [(systemId, path)] target documents).
+
+    Every file is read here, so an unreadable one is a usage error; a
+    system is parsed only when resolution first reaches it.
+    """
     mapping = {}
     if getattr(args, "manifest", None):
         mapping.update(read_manifest(args.manifest))
     mapping.update(parse_mapping(getattr(args, "system", None), "--system"))
-    path_to_name = {str(Path(p)): name for name, p in mapping.items()}
+    name_of_file = {os.path.abspath(p): name for name, p in mapping.items()}
 
     ws = Workspace()
     targets = []
-
-    def load(name: str, path: str, file: str):
-        text = (sources or {}).get(str(Path(path)))
-        add_system(ws, name, read_source(path) if text is None else text, file)
-
-    seen = set()
+    chosen: dict[str, str] = {}  # system id -> the path registered under it
     for path in paths:
-        name = path_to_name.get(str(Path(path)), Path(path).stem)
-        if name in seen:
+        where = os.path.abspath(path)
+        name = name_of_file.get(where, Path(path).stem)
+        other = chosen.get(name, mapping.get(name))
+        if other is not None and os.path.abspath(other) != where:
+            raise UsageError(
+                f"system id '{name}' names two files, '{other}' and '{path}'; "
+                "give one of them its own id with --system NAME=PATH"
+            )
+        if name in chosen:
             continue
-        seen.add(name)
-        load(name, path, str(path))
+        chosen[name] = path
+        ws.register(name, read_source(path), str(path))
         targets.append((name, str(Path(path))))
     for name, path in mapping.items():
-        if name in seen:
-            continue
-        seen.add(name)
-        load(name, path, str(Path(path)))
+        if name not in chosen:
+            ws.register(name, read_source(path), str(Path(path)))
     return ws, targets
 
 
@@ -104,7 +111,7 @@ def load_lexicon_overrides(args) -> dict:
 def check_all(ws: Workspace, targets, lexicons) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for name, _path in targets:
-        rm = resolve(ws.systems[name], ws)
+        rm = resolve(ws.system(name), ws)
         diags.extend(run_all_checks(rm, ws, lexicons))
     return diags
 
@@ -225,50 +232,84 @@ def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
     return per_file, notices
 
 
+def write_atomically(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it over `path`."""
+    target = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise UsageError(f"cannot write '{path}': {exc}")
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise UsageError(f"cannot write '{path}': {exc}")
+
+
+def unchanged_on_disk(path: str, text: str) -> bool:
+    """Whether `path` still reads as `text`; an unreadable file counts as changed."""
+    try:
+        return Path(path).read_text(encoding="utf-8") == text
+    except (OSError, UnicodeDecodeError):
+        return False
+
+
 def cmd_fix(args) -> int:
     ws, targets = build_workspace(args.paths, args)
     lexicons = load_lexicon_overrides(args)
     diags = check_all(ws, targets, lexicons)
     per_file, notices = collect_fix_edits(diags, args.create_missing)
+    del diags  # the first pass is not needed past this point
     for notice in notices:
         print(notice)
 
-    member_files = {m.file for m in ws.systems.values()}
-    new_sources: dict[str, str] = {}
+    systems_of_file: dict[str, list] = {}
+    for name, (_text, file) in ws.sources.items():
+        systems_of_file.setdefault(file, []).append(name)
+    fixed: dict[str, tuple] = {}  # file -> (the text that was checked, that text fixed)
     for path, edits in sorted(per_file.items()):
-        if path not in member_files:
+        if path not in systems_of_file:
             print(f"skipped fixes for non-workspace file {path}")
             continue
-        old = read_source(path)
+        old = ws.sources[systems_of_file[path][0]][0]
         try:
             new = apply_edits(old, edits)
         except OverlappingEdits as exc:
             print(f"skipped fixes for {path}: {exc}")
             continue
         if new != old:
-            new_sources[str(Path(path))] = new
+            fixed[path] = (old, new)
 
     if args.apply:
-        for path, text in new_sources.items():
-            Path(path).write_text(text, encoding="utf-8")
+        for path, (old, new) in list(fixed.items()):
+            if not unchanged_on_disk(path, old):
+                print(f"skipped fixes for {path}: file changed on disk since it was checked")
+                del fixed[path]
+                continue
+            write_atomically(path, new)
     else:
-        for path, text in sorted(new_sources.items()):
-            old = read_source(path)
+        for path, (old, new) in sorted(fixed.items(), key=lambda item: str(Path(item[0]))):
             diff = difflib.unified_diff(
                 old.splitlines(keepends=True),
-                text.splitlines(keepends=True),
-                fromfile=path,
-                tofile=path + " (fixed)",
+                new.splitlines(keepends=True),
+                fromfile=str(Path(path)),
+                tofile=str(Path(path)) + " (fixed)",
             )
             sys.stdout.write("".join(diff))
 
-    # Exit status reflects the post-fix state for both modes.
-    ws2, targets2 = build_workspace(args.paths, args, sources=new_sources)
-    post = check_all(ws2, targets2, lexicons)
-    if not new_sources and not notices:
+    # Exit status reflects the post-fix state for both modes. The re-check
+    # reuses the workspace: only the systems whose text changed parse again.
+    for path, (_old, new) in fixed.items():
+        for name in systems_of_file[path]:
+            ws.register(name, new, path)
+    post = check_all(ws, targets, lexicons)
+    if not fixed and not notices:
         print("no applicable fixes")
     elif args.apply:
-        print(f"applied fixes to {len(new_sources)} file(s)")
+        print(f"applied fixes to {len(fixed)} file(s)")
     return exit_code(post)
 
 
@@ -278,13 +319,14 @@ def cmd_gen(args) -> int:
     if not targets:
         raise UsageError("gen needs an input document")
     name, _path = targets[0]
-    rm = resolve(ws.systems[name], ws)
+    rm = resolve(ws.system(name), ws)
     diags = run_all_checks(rm, ws, lexicons)
     refusal = ensure_valid(rm, diags)
     if refusal is not None:
         sys.stdout.write(report_human([d for d in diags if d.severity == "Error"]))
         print(str(refusal))
         return 1
+    del ws, diags  # generation reads only `rm`; free the other systems' texts and models first
 
     if args.kind == "json":
         output = generate_json(rm)

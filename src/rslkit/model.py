@@ -339,7 +339,6 @@ class Model:
     includes: list = field(default_factory=list)
     language_decl: Optional[LinguisticLanguageDecl] = None
     file: str = field(default="<memory>", compare=False)
-    resolved: bool = field(default=False, compare=False)
     end_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
     @property

@@ -30,19 +30,43 @@ MAX_INCLUDE_DEPTH = 16
 
 @dataclass
 class Workspace:
-    systems: dict = field(default_factory=dict)  # system id -> Model
+    """Systems by id; a registered text is parsed the first time resolution asks for it."""
+
+    sources: dict = field(default_factory=dict)  # system id -> (text, file), every registered system
+    systems: dict = field(default_factory=dict)  # system id -> Model, the systems parsed so far
     parse_diagnostics: dict = field(default_factory=dict)  # system id -> [Diagnostic]
     io_errors: list = field(default_factory=list)  # (system id, path, message)
+    _ids: dict = field(default_factory=dict, repr=False)  # id(Model) -> system id
+
+    def __contains__(self, system_id: str) -> bool:
+        return system_id in self.sources
+
+    def register(self, system_id: str, source: str, file: str) -> None:
+        """Record a system's text; an earlier parse of that system is dropped."""
+        old = self.systems.pop(system_id, None)
+        if old is not None:
+            self._ids.pop(id(old), None)
+        self.parse_diagnostics.pop(system_id, None)
+        self.sources[system_id] = (source, file)
+
+    def system(self, system_id: str) -> Optional[Model]:
+        """Model of a registered system, parsed on the first request; None if unknown."""
+        model = self.systems.get(system_id)
+        if model is None and system_id in self.sources:
+            source, file = self.sources[system_id]
+            model, diags = parser.parse(source, file)
+            self.systems[system_id] = model
+            self.parse_diagnostics[system_id] = diags
+            self._ids[id(model)] = system_id
+        return model
 
     def system_of(self, model: Model) -> Optional[str]:
-        for name, m in self.systems.items():
-            if m is model:
-                return name
-        return None
+        name = self._ids.get(id(model))
+        return name if self.systems.get(name) is model else None
 
 
 def load_workspace(files: list[tuple[str, str]]) -> Workspace:
-    """Parse every (systemId, path) pair; read and decode failures are recorded, not raised."""
+    """Read and parse every (systemId, path) pair; read and decode failures are recorded, not raised."""
     ws = Workspace()
     for system_id, path in files:
         try:
@@ -56,10 +80,9 @@ def load_workspace(files: list[tuple[str, str]]) -> Workspace:
 
 
 def add_system(ws: Workspace, system_id: str, source: str, file: str) -> Model:
-    model, diags = parser.parse(source, file)
-    ws.systems[system_id] = model
-    ws.parse_diagnostics[system_id] = diags
-    return model
+    """Register a system and parse it now."""
+    ws.register(system_id, source, file)
+    return ws.system(system_id)
 
 
 @dataclass
@@ -103,7 +126,7 @@ def _included_elements(
             Diagnostic("Error", "RSL-R004", f"Include nesting deeper than {MAX_INCLUDE_DEPTH}", at_span)
         )
         return []
-    model = ws.systems.get(system_id)
+    model = ws.system(system_id)
     if model is None:
         return []
     out = [e for e in model.elements if not isinstance(e, LinguisticLanguageDecl)]
@@ -119,7 +142,7 @@ def _included_elements(
 def _resolve_include(
     ws: Workspace, inc: IncludeDecl, depth: int, visiting: tuple, diags: list
 ) -> Optional[list]:
-    if inc.from_system not in ws.systems:
+    if inc.from_system not in ws:
         diags.append(
             Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
         )
@@ -161,7 +184,7 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
 
     for inc in model.includes:
         if inc.mode == "Import":
-            if inc.from_system not in ws.systems:
+            if inc.from_system not in ws:
                 diags.append(
                     Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
                 )
@@ -179,22 +202,17 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
     effective = included + list(model.elements)
 
     rm = ResolvedModel(model, system_id, effective, diags)
+    # The document's own effective list wins, then imported pools in
+    # include order, each by its first element with that (kind, id).
     index = rm.index()
-
-    def lookup(kind: str, ref_id: str) -> Optional[Element]:
-        hit = index.get((kind, ref_id))
-        if hit is not None:
-            return hit
-        for pool in imported_pools:
-            for e in pool:
-                if e.kind == kind and e.id == ref_id:
-                    return e
-        return None
+    for pool in imported_pools:
+        for e in pool:
+            index.setdefault((e.kind, e.id), e)
 
     def bind(elem: Element, ref_field: str, kind: str, ref_id: Optional[str], span):
         if ref_id is None:
             return
-        target = lookup(kind, ref_id)
+        target = index.get((kind, ref_id))
         if target is None:
             diags.append(
                 Diagnostic(
@@ -217,7 +235,7 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
             bind(elem, "primary_actor", "Actor", elem.primary_actor, elem.primary_actor_span)
             bind(elem, "data_entity", "DataEntity", elem.data_entity, elem.data_entity_span)
             if elem.extends_target is not None:
-                target = lookup("UseCase", elem.extends_target)
+                target = index.get(("UseCase", elem.extends_target))
                 if target is None:
                     diags.append(
                         Diagnostic(
@@ -238,7 +256,6 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
                                 elem.extends_span or elem.span,
                             )
                         )
-    model.resolved = True
     return rm
 
 

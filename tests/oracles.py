@@ -11,14 +11,21 @@ and memoizes nothing, so it is exponential on adversarial input.
 The tokenizer oracle is the character loop the lexer used to be: it
 walks every character to keep line and column and builds every span
 eagerly.
+
+The workspace-loader oracle is the eager loader the CLI used to have: it
+parses every input and manifest entry up front, whether or not a target
+reaches it.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
+from rslkit import cli
 from rslkit.matching import MatchResult, normalize
 from rslkit.model import AltPart, FragmentRefPart, LitPart, PosPart, POS_CATEGORIES, SourceSpan
+from rslkit.workspace import Workspace, add_system
 
 
 def reachable_from(graph: dict, start) -> set:
@@ -262,3 +269,29 @@ def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
     end_span = SourceSpan(file, line, col, line, col, n, 0)
     tokens.append(OracleToken("end", "", end_span))
     return tokens
+
+
+def oracle_build_workspace(paths: list[str], args):
+    """Drop-in for `cli.build_workspace` that parses every system before any check runs."""
+    mapping = {}
+    if getattr(args, "manifest", None):
+        mapping.update(cli.read_manifest(args.manifest))
+    mapping.update(cli.parse_mapping(getattr(args, "system", None), "--system"))
+    path_to_name = {str(Path(p)): name for name, p in mapping.items()}
+
+    ws = Workspace()
+    targets = []
+    seen = set()
+    for path in paths:
+        name = path_to_name.get(str(Path(path)), Path(path).stem)
+        if name in seen:
+            continue
+        seen.add(name)
+        add_system(ws, name, cli.read_source(path), str(path))
+        targets.append((name, str(Path(path))))
+    for name, path in mapping.items():
+        if name in seen:
+            continue
+        seen.add(name)
+        add_system(ws, name, cli.read_source(path), str(Path(path)))
+    return ws, targets

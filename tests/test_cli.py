@@ -1,11 +1,13 @@
 """Command line behavior: subcommands, reports, exit codes, fix application."""
 
 import json
+import os
 import shutil
 
 import pytest
 
 from conftest import FIXTURES
+from rslkit import cli
 from rslkit.cli import main
 
 
@@ -78,6 +80,42 @@ class TestCheck:
         code, _, _ = run(["check", str(doc), "--manifest", str(manifest)], capsys)
         assert code == 0
 
+    def test_two_files_with_one_system_id_are_a_usage_error(self, tmp_path, capsys):
+        for sub, fixture in (("a", "billing_clean.rsl"), ("b", "billing_defects.rsl")):
+            (tmp_path / sub).mkdir()
+            shutil.copy(FIXTURES / fixture, tmp_path / sub / "spec.rsl")
+        a, b = tmp_path / "a" / "spec.rsl", tmp_path / "b" / "spec.rsl"
+        code, out, err = run(["check", str(a), str(b)], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: system id 'spec' names two files, '{a}' and '{b}'; "
+            "give one of them its own id with --system NAME=PATH\n"
+        )
+        code, out, _ = run(["check", str(a), str(b), "--system", f"other={b}"], capsys)
+        assert code == 1 and "RSL-V001" in out
+
+    def test_manifest_id_equal_to_a_stem_of_another_file_is_a_usage_error(self, tmp_path, capsys):
+        doc = copy_fixture(tmp_path, "billing_clean.rsl")
+        manifest = tmp_path / "workspace.txt"
+        manifest.write_text("billing_clean=system_rules.rsl\n")
+        copy_fixture(tmp_path, "system_rules.rsl")
+        code, _, err = run(["check", str(doc), "--manifest", str(manifest)], capsys)
+        assert code == 2
+        assert f"system id 'billing_clean' names two files, '{tmp_path / 'system_rules.rsl'}' and '{doc}'" in err
+
+    def test_one_file_by_several_spellings_is_one_system(self, tmp_path, capsys, monkeypatch):
+        doc = copy_fixture(tmp_path, "billing_include.rsl")
+        copy_fixture(tmp_path, "system_rules.rsl")
+        (tmp_path / "workspace.txt").write_text("Main=billing_include.rsl\nSystemRules=system_rules.rsl\n")
+        monkeypatch.chdir(tmp_path)
+        check = ["check", "--format", "json", "--manifest", "workspace.txt"]
+        expected = run(check + ["billing_include.rsl"], capsys)
+        assert expected[0] == 0
+        assert run(check + ["billing_include.rsl", "./billing_include.rsl", str(doc)], capsys) == expected
+        for spelling in ("./billing_include.rsl", str(doc)):
+            run(["gen", "json", spelling, "--manifest", "workspace.txt", "-o", "out.json"], capsys)
+            assert list(json.loads((tmp_path / "out.json").read_text())["systems"]) == ["Main"]
+
 
 class TestFix:
     def test_dry_run_leaves_file_untouched(self, tmp_path, capsys):
@@ -119,6 +157,48 @@ class TestFix:
         code, out, _ = run(["fix", "--apply", str(doc)], capsys)
         assert code == 0
         assert "no applicable fixes" in out
+
+    def test_apply_writes_through_a_temporary_file_and_keeps_the_mode(self, tmp_path, capsys, monkeypatch):
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        doc.chmod(0o640)
+        renames = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            renames.append((os.path.dirname(src), str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        run(["fix", "--apply", str(doc)], capsys)
+        assert renames == [(str(tmp_path), str(doc))]
+        assert doc.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]
+
+    def test_file_changed_since_check_is_not_overwritten(self, tmp_path, capsys, monkeypatch):
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        edited = doc.read_text() + "\nActor a_Late \"Late\" : User\n"
+        real_check_all = cli.check_all
+
+        def check_all_then_edit(*args):
+            diags = real_check_all(*args)
+            if doc.read_text() != edited:
+                doc.write_text(edited)
+            return diags
+
+        monkeypatch.setattr(cli, "check_all", check_all_then_edit)
+        code, out, _ = run(["fix", "--apply", str(doc)], capsys)
+        assert f"skipped fixes for {doc}: file changed on disk since it was checked" in out
+        assert doc.read_text() == edited
+        assert code == 1  # the re-check still sees the defects
+
+    def test_dry_run_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        reads = []
+        real_read = cli.read_source
+        monkeypatch.setattr(cli, "read_source", lambda path, what="": reads.append(path) or real_read(path, what))
+        code, out, _ = run(["fix", "--dry-run", "--create-missing", str(doc)], capsys)
+        assert code == 0 and "+++" in out
+        assert reads == [str(doc)]
 
 
 class TestGen:

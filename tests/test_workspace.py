@@ -72,6 +72,25 @@ class TestIncludes:
         (d,) = by_code(rm.diagnostics, "RSL-R002")
         assert "SystemRules" in d.message
 
+    def test_reference_precedence(self):
+        """Own elements first, then imported systems in order, each by its first match."""
+        ws = Workspace()
+        main = add_system(
+            ws,
+            "Main",
+            "Import fromSystem A\n\nImport fromSystem B\n\n"
+            'Actor a_own "Own" : User\n\n'
+            'UseCase uc_1 "Print Invoice" : EntityPrint [primaryActor a_own]\n\n'
+            'UseCase uc_2 "Print Invoice" : EntityPrint [primaryActor a_x]\n\n'
+            'UseCase uc_3 "Print Invoice" : EntityPrint [primaryActor a_y]\n',
+            "<main>",
+        )
+        add_system(ws, "A", 'Actor a_own "A own" : User\n\nActor a_x "A first" : User\n\nActor a_x "A second" : User\n', "<a>")
+        add_system(ws, "B", 'Actor a_x "B" : User\n\nActor a_y "B" : User\n', "<b>")
+        rm = resolve(main, ws)
+        bound = {uc.id: rm.binding(uc, "primary_actor").name for uc in main.elements_of_kind("UseCase")}
+        assert bound == {"uc_1": "Own", "uc_2": "A first", "uc_3": "B"}
+
     def test_unknown_element(self):
         main = "Include LinguisticRule fromSystem SystemRules element l_r_Nope\n"
         ws, model = two_systems(main, RULE_ONLY)
