@@ -13,8 +13,7 @@ from typing import Optional
 
 from .lexicon import Lexicon, analyze, builtin_lexicon
 from .model import (
-    Actor,
-    DataEntity,
+    KIND_TABLE,
     Diagnostic,
     LinguisticRuleDecl,
     QuickFix,
@@ -197,15 +196,14 @@ def cycle_nodes(graph: dict) -> set:
     return flagged
 
 
+# (kind, *clause) of every hierarchy edge
+_HIERARCHIES = [(kind, *c) for kind, row in KIND_TABLE.items() for c in row["clauses"] if c[2] == "parent"]
+
+
 def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
     diags = []
-    relations = []  # (kind, relation field, span field)
-    relations.append(("Actor", "is_a", "is_a_span"))
-    relations.append(("DataEntity", "is_a", "is_a_span"))
-    relations.append(("DataEntity", "part_of", "part_of_span"))
-
     order = {id(e): i for i, e in enumerate(rm.effective_elements)}
-    for kind, rel, span_field in relations:
+    for kind, keyword, rel, _, _, span_field in _HIERARCHIES:
         nodes = [e for e in rm.effective_elements if e.kind == kind]
         graph = {id(e): [] for e in nodes}
         by_key = {id(e): e for e in nodes}
@@ -217,7 +215,6 @@ def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
             elem = by_key[key]
             span = getattr(elem, span_field, None) or elem.span
             target_id = getattr(elem, rel)
-            keyword = "isA" if rel == "is_a" else "partOf"
             fixes = ()
             if span is not None and getattr(elem, span_field, None) is not None:
                 fixes = (

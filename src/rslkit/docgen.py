@@ -10,17 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    Actor,
-    DataEntity,
-    Diagnostic,
-    FunctionalRequirement,
-    LinguisticLanguageDecl,
-    LinguisticRuleDecl,
-    Stakeholder,
-    Term,
-    UseCase,
-)
+from .model import KIND_TABLE, Diagnostic
 from .printer import print_pattern
 from .template import TemplateDocument, parse_template, render
 from .workspace import ResolvedModel
@@ -47,99 +37,57 @@ def ensure_valid(rm: ResolvedModel, diags: list[Diagnostic]) -> Optional[Refusal
 
 # --- JSON -------------------------------------------------------------------
 
-def _common(elem) -> dict:
-    out = {"id": elem.id, "name": elem.name, "nameAlias": elem.name_alias}
-    if elem.description is not None:
-        out["description"] = elem.description
-    return out
-
-
-def _ref(rm: ResolvedModel, elem, field: str, ref_id):
-    if ref_id is None:
-        return None
-    target = rm.binding(elem, field)
-    if target is None:
-        return {"id": ref_id}
-    return {"id": target.id, "name": target.name_alias}
+# Per kind, (keyword, field, shape) of each clause; a JSON entry carries
+# its description ahead of "type", so these leave it out.
+_JSON_CLAUSES = {
+    kind: tuple(c[:3] for c in row["clauses"] if c[0] != "description") for kind, row in KIND_TABLE.items()
+}
 
 
 def build_json_doc(rm: ResolvedModel) -> dict:
-    elements = {
-        "dataEntities": [],
-        "actors": [],
-        "useCases": [],
-        "terms": [],
-        "stakeholders": [],
-        "functionalRequirements": [],
-        "linguisticRules": [],
-    }
+    elements = {row["json"]: [] for row in KIND_TABLE.values() if row["json"]}
     for elem in rm.effective_elements:
-        if isinstance(elem, DataEntity):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.entity_type}
-            entry["attributes"] = [
-                {
-                    "id": a.id,
-                    "name": a.name,
-                    "dataType": a.data_type,
-                    "constraints": list(a.constraints),
-                    **({"defaultValue": a.default_value} if a.default_value is not None else {}),
-                }
-                for a in elem.attributes
-            ]
-            if elem.is_a:
-                entry["isA"] = elem.is_a
-            if elem.part_of:
-                entry["partOf"] = elem.part_of
-            elements["dataEntities"].append(entry)
-        elif isinstance(elem, Actor):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.actor_type}
-            if elem.is_a:
-                entry["isA"] = elem.is_a
-            elements["actors"].append(entry)
-        elif isinstance(elem, UseCase):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.uc_type}
-            if elem.primary_actor:
-                entry["primaryActor"] = _ref(rm, elem, "primary_actor", elem.primary_actor)
-            if elem.data_entity:
-                entry["dataEntity"] = _ref(rm, elem, "data_entity", elem.data_entity)
-            entry["actions"] = list(elem.actions)
-            entry["extensionPoints"] = list(elem.extension_points)
-            if elem.extends_target:
-                entry["extends"] = {
-                    "useCase": elem.extends_target,
-                    "extensionPoint": elem.extends_point,
-                }
-            if elem.precondition is not None:
-                entry["precondition"] = elem.precondition
-            elements["useCases"].append(entry)
-        elif isinstance(elem, Term):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.pos_category}
-            entry["synonyms"] = list(elem.synonyms)
-            elements["terms"].append(entry)
-        elif isinstance(elem, Stakeholder):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.stakeholder_type}
-            if elem.stakeholder_subtype:
-                entry["type"]["subtype"] = elem.stakeholder_subtype
-            elements["stakeholders"].append(entry)
-        elif isinstance(elem, FunctionalRequirement):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.fr_type}
-            elements["functionalRequirements"].append(entry)
-        elif isinstance(elem, LinguisticRuleDecl):
-            entry = _common(elem)
-            entry["type"] = {"type": elem.rule_kind}
-            entry["property"] = {"targetKind": elem.target_kind, "fragment": elem.fragment}
-            if elem.pattern is not None:
-                entry["pattern"] = print_pattern(elem.pattern)
-            entry["severity"] = elem.severity
-            elements["linguisticRules"].append(entry)
-        elif isinstance(elem, LinguisticLanguageDecl):
-            pass  # surfaced as the top-level language field
+        row = KIND_TABLE[elem.kind]
+        if row["json"] is None:
+            continue
+        entry = {"id": elem.id, "name": elem.name, "nameAlias": elem.name_alias}
+        if elem.description is not None:
+            entry["description"] = elem.description
+        entry["type"] = {"type": getattr(elem, row["type"][1])}
+        subtype = row.get("subtype")
+        if subtype and getattr(elem, subtype):
+            entry["type"]["subtype"] = getattr(elem, subtype)
+        for keyword, field, shape in _JSON_CLAUSES[elem.kind]:
+            value = getattr(elem, field)
+            if value is None:
+                continue
+            if shape == "attribute":
+                entry["attributes"] = [
+                    {
+                        "id": a.id,
+                        "name": a.name,
+                        "dataType": a.data_type,
+                        "constraints": list(a.constraints),
+                        **({"defaultValue": a.default_value} if a.default_value is not None else {}),
+                    }
+                    for a in value
+                ]
+            elif shape == "ids" or shape == "strings":
+                entry[keyword] = list(value)
+            elif value is None or not value and shape != "string":
+                continue
+            elif shape == "ref":
+                target = rm.binding(elem, field)
+                entry[keyword] = {"id": target.id, "name": target.name_alias} if target else {"id": value}
+            elif shape == "extends":
+                entry[keyword] = {"useCase": value, "extensionPoint": elem.extends_point}
+            elif shape == "property":
+                entry[keyword] = {"targetKind": value, "fragment": elem.fragment}
+            elif shape == "pattern":
+                entry[keyword] = print_pattern(value)
+            else:
+                entry[keyword] = value
+        elements[row["json"]].append(entry)
 
     systems = {}
     if rm.system_id is not None:
@@ -154,58 +102,32 @@ def generate_json(rm: ResolvedModel) -> str:
 # --- structured text -----------------------------------------------------------
 
 def _text_fields(rm: ResolvedModel, elem) -> list[tuple[str, str]]:
-    fields: list[tuple[str, str]] = []
-    if isinstance(elem, DataEntity):
-        fields.append(("type", elem.entity_type))
-        if elem.attributes:
-            fields.append(
-                ("attributes", ", ".join(f"{a.name} ({a.data_type})" for a in elem.attributes))
-            )
-        if elem.is_a:
-            fields.append(("isA", elem.is_a))
-        if elem.part_of:
-            fields.append(("partOf", elem.part_of))
-    elif isinstance(elem, Actor):
-        fields.append(("type", elem.actor_type))
-        if elem.is_a:
-            fields.append(("isA", elem.is_a))
-    elif isinstance(elem, UseCase):
-        fields.append(("type", elem.uc_type))
-        if elem.primary_actor:
-            target = rm.binding(elem, "primary_actor")
-            fields.append(("primaryActor", target.name_alias if target else elem.primary_actor))
-        if elem.data_entity:
-            target = rm.binding(elem, "data_entity")
-            fields.append(("dataEntity", target.name_alias if target else elem.data_entity))
-        if elem.actions:
-            fields.append(("actions", ", ".join(elem.actions)))
-        if elem.extension_points:
-            fields.append(("extensionPoints", ", ".join(elem.extension_points)))
-        if elem.extends_target:
-            fields.append(("extends", f"{elem.extends_target} on {elem.extends_point}"))
-        if elem.precondition is not None:
-            fields.append(("precondition", elem.precondition))
-    elif isinstance(elem, Term):
-        fields.append(("type", elem.pos_category))
-        if elem.synonyms:
-            fields.append(("synonyms", ", ".join(elem.synonyms)))
-    elif isinstance(elem, Stakeholder):
-        t = elem.stakeholder_type
-        if elem.stakeholder_subtype:
-            t += "." + elem.stakeholder_subtype
-        fields.append(("type", t))
-    elif isinstance(elem, FunctionalRequirement):
-        fields.append(("type", elem.fr_type))
-    elif isinstance(elem, LinguisticRuleDecl):
-        fields.append(("type", elem.rule_kind))
-        fields.append(("property", f"{elem.target_kind}.{elem.fragment}"))
-        if elem.pattern is not None:
-            fields.append(("pattern", print_pattern(elem.pattern)))
-        fields.append(("severity", elem.severity))
-    elif isinstance(elem, LinguisticLanguageDecl):
-        fields.append(("language", elem.language))
-    if elem.description is not None:
-        fields.append(("description", elem.description))
+    row = KIND_TABLE[elem.kind]
+    label, type_field = row["type"][:2]
+    type_text = getattr(elem, type_field)
+    subtype = row.get("subtype")
+    if subtype and getattr(elem, subtype):
+        type_text += "." + getattr(elem, subtype)
+    fields = [(label, type_text)]
+    for keyword, field, shape, _, _ in row["clauses"]:
+        value = getattr(elem, field)
+        if value is None or not value and shape != "string":
+            continue
+        if shape == "attribute":
+            fields.append(("attributes", ", ".join(f"{a.name} ({a.data_type})" for a in value)))
+            continue
+        if shape == "ids" or shape == "strings":
+            value = ", ".join(value)
+        elif shape == "ref":
+            target = rm.binding(elem, field)
+            value = target.name_alias if target else value
+        elif shape == "extends":
+            value = f"{value} on {elem.extends_point}"
+        elif shape == "property":
+            value = f"{value}.{elem.fragment}"
+        elif shape == "pattern":
+            value = print_pattern(value)
+        fields.append((keyword, value))
     return fields
 
 

@@ -12,17 +12,6 @@ from typing import Optional
 
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-ELEMENT_KINDS = (
-    "DataEntity",
-    "Actor",
-    "UseCase",
-    "Term",
-    "LinguisticRule",
-    "LinguisticLanguage",
-    "Stakeholder",
-    "FunctionalRequirement",
-)
-
 LANGUAGES = (
     "English",
     "Spanish",
@@ -167,25 +156,6 @@ class AltPart:
 @dataclass(frozen=True)
 class PatternExpr:
     parts: tuple
-
-
-def render_part(part, parenthesize: bool = True) -> str:
-    if isinstance(part, PosPart):
-        return f"({part.category})" if parenthesize else part.category
-    if isinstance(part, LitPart):
-        return f'"{part.text}"'
-    if isinstance(part, FragmentRefPart):
-        inner = f"{part.element_kind}.{part.fragment}"
-        return f"({inner})" if parenthesize else inner
-    if isinstance(part, AltPart):
-        inner = " | ".join(render_part(o, parenthesize=False) for o in part.options)
-        return f"({inner})"
-    raise TypeError(f"not a pattern part: {part!r}")
-
-
-def render_pattern(pattern: PatternExpr) -> str:
-    """Human-readable pattern with each non-literal part parenthesized."""
-    return " + ".join(render_part(p) for p in pattern.parts)
 
 
 # --- elements -------------------------------------------------------------
@@ -347,3 +317,106 @@ class Model:
 
     def elements_of_kind(self, kind: str) -> list:
         return [e for e in self.elements if e.kind == kind]
+
+
+# --- element kinds --------------------------------------------------------------
+#
+# One row per kind drives parsing, printing, JSON and text generation,
+# reference binding and the V003 hierarchy check. `type` is the head's
+# `: Type`: (text label, field, value when omitted, allowed values or None
+# for any identifier, message for a value not allowed); only Stakeholder
+# has a `.Subtype`. `json` is the kind's group in the JSON report, None to
+# leave it out. A clause is (keyword, field, shape, arg, span field), and
+# the span field, if any, keeps the clause's source span. Shapes:
+#   string     a string
+#   ref        id of an element of kind arg; the span covers the id
+#   parent     hierarchy edge to an element of kind arg; the span runs from the keyword
+#   ids        comma-separated identifiers
+#   strings    comma-separated strings
+#   enum       one identifier out of arg
+#   pattern    a linguistic pattern
+#   attribute  one DataEntity attribute; the clause repeats
+#   extends    <use case id> onExtensionPoint <point>; also sets extends_point
+#   property   <Kind>.<fragment>; also sets fragment
+
+DESCRIPTION = ("description", "description", "string", None, "description_span")
+
+KIND_TABLE = {
+    "DataEntity": {
+        "class": DataEntity,
+        "type": ("type", "entity_type", "Other", None, None),
+        "json": "dataEntities",
+        "clauses": (
+            ("attribute", "attributes", "attribute", None, None),
+            ("isA", "is_a", "parent", "DataEntity", "is_a_span"),
+            ("partOf", "part_of", "parent", "DataEntity", "part_of_span"),
+            DESCRIPTION,
+        ),
+    },
+    "Actor": {
+        "class": Actor,
+        "type": ("type", "actor_type", "User", None, None),
+        "json": "actors",
+        "clauses": (
+            ("isA", "is_a", "parent", "Actor", "is_a_span"),
+            DESCRIPTION,
+        ),
+    },
+    "UseCase": {
+        "class": UseCase,
+        "type": ("type", "uc_type", "Other", None, None),
+        "json": "useCases",
+        "clauses": (
+            ("primaryActor", "primary_actor", "ref", "Actor", "primary_actor_span"),
+            ("dataEntity", "data_entity", "ref", "DataEntity", "data_entity_span"),
+            ("actions", "actions", "ids", None, None),
+            ("extensionPoints", "extension_points", "ids", None, None),
+            ("extends", "extends_target", "extends", "UseCase", "extends_span"),
+            ("precondition", "precondition", "string", None, None),
+            DESCRIPTION,
+        ),
+    },
+    "Term": {
+        "class": Term,
+        "type": ("type", "pos_category", "Noun", POS_CATEGORIES, "Unknown POS category '{}'"),
+        "json": "terms",
+        "clauses": (
+            ("synonyms", "synonyms", "strings", None, None),
+            DESCRIPTION,
+        ),
+    },
+    "Stakeholder": {
+        "class": Stakeholder,
+        "type": ("type", "stakeholder_type", "Other", None, None),
+        "subtype": "stakeholder_subtype",
+        "json": "stakeholders",
+        "clauses": (DESCRIPTION,),
+    },
+    "FunctionalRequirement": {
+        "class": FunctionalRequirement,
+        "type": ("type", "fr_type", "Functional", None, None),
+        "json": "functionalRequirements",
+        "clauses": (DESCRIPTION,),
+    },
+    "LinguisticRule": {
+        "class": LinguisticRuleDecl,
+        "type": (
+            "type", "rule_kind", None, ("Syntax",), "Unsupported linguistic rule kind '{}' (only Syntax is supported)"
+        ),
+        "json": "linguisticRules",
+        "clauses": (
+            ("property", "target_kind", "property", None, None),
+            ("pattern", "pattern", "pattern", None, None),
+            ("severity", "severity", "enum", SEVERITIES, None),
+            DESCRIPTION,
+        ),
+    },
+    "LinguisticLanguage": {
+        "class": LinguisticLanguageDecl,
+        "type": ("language", "language", None, LANGUAGES, "Unknown language '{}'"),
+        "json": None,  # the report's top-level language field
+        "clauses": (DESCRIPTION,),
+    },
+}
+
+ELEMENT_KINDS = tuple(KIND_TABLE)

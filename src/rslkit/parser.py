@@ -15,48 +15,24 @@ from .model import (
     DATA_TYPES,
     ELEMENT_KINDS,
     FRAGMENTS,
-    LANGUAGES,
+    KIND_TABLE,
     POS_CATEGORIES,
-    SEVERITIES,
-    Actor,
     AltPart,
     Attribute,
     DataEntity,
     Diagnostic,
     Element,
     FragmentRefPart,
-    FunctionalRequirement,
     IncludeDecl,
-    LinguisticLanguageDecl,
-    LinguisticRuleDecl,
     LitPart,
     Model,
     PatternExpr,
     PosPart,
     SourceSpan,
-    Stakeholder,
-    Term,
-    UseCase,
 )
 
 TOP_KEYWORDS = set(ELEMENT_KINDS) | {"Include", "Import", "IncludeAll"}
-
-BODY_KEYWORDS = {
-    "attribute",
-    "isA",
-    "partOf",
-    "primaryActor",
-    "dataEntity",
-    "actions",
-    "extensionPoints",
-    "extends",
-    "precondition",
-    "synonyms",
-    "property",
-    "pattern",
-    "severity",
-    "description",
-}
+BODY_KEYWORDS = {c[0] for row in KIND_TABLE.values() for c in row["clauses"]}
 
 
 class _Parser:
@@ -137,7 +113,7 @@ class _Parser:
                 elem = self.parse_element()
                 if elem is not None:
                     model.elements.append(elem)
-                    if isinstance(elem, LinguisticLanguageDecl):
+                    if elem.kind == "LinguisticLanguage":
                         if model.language_decl is None:
                             model.language_decl = elem
                         else:
@@ -187,7 +163,7 @@ class _Parser:
 
     def parse_element(self) -> Optional[Element]:
         start = self.next()
-        kind = start.text
+        row = KIND_TABLE[start.text]
         id_tok = self.expect("identifier", what="an identifier")
         if id_tok is None:
             return None
@@ -199,72 +175,35 @@ class _Parser:
             type_tok = self.expect("identifier", what="a type")
             if type_tok is None:
                 return None
-            if kind == "Stakeholder" and self.accept("punct", "."):
+            if row.get("subtype") and self.accept("punct", "."):
                 subtype_tok = self.expect("identifier", what="a subtype")
                 if subtype_tok is None:
                     return None
 
-        elem = self.make_element(kind, id_tok, name_tok, type_tok, subtype_tok)
-        if elem is None:
+        _, type_field, default, allowed, unknown = row["type"]
+        type_text = type_tok.text if type_tok else default
+        if allowed is not None and type_text not in allowed:
+            self.error("RSL-S004", unknown.format(type_text), type_tok.span if type_tok else id_tok.span)
             return None
+        elem = row["class"](
+            id=id_tok.text,
+            name=name_tok.text if name_tok else None,
+            id_span=id_tok.span,
+            name_span=content_span(name_tok) if name_tok else None,
+            **{type_field: type_text},
+        )
+        if subtype_tok is not None:
+            setattr(elem, row["subtype"], subtype_tok.text)
 
         ok = True
         if self.accept("punct", "["):
             ok = self.parse_body(elem)
         elem.span = self.span_from(start)
-        if ok and isinstance(elem, LinguisticRuleDecl) and elem.pattern is None:
+        if ok and elem.kind == "LinguisticRule" and elem.pattern is None:
             self.diagnostics.append(
                 Diagnostic("Error", "RSL-S002", f"Linguistic rule '{elem.id}' has no pattern", elem.id_span)
             )
         return elem
-
-    def make_element(self, kind, id_tok, name_tok, type_tok, subtype_tok) -> Optional[Element]:
-        type_text = type_tok.text if type_tok else None
-        common = dict(
-            id=id_tok.text,
-            name=name_tok.text if name_tok else None,
-            id_span=id_tok.span,
-            name_span=content_span(name_tok) if name_tok else None,
-        )
-        if kind == "DataEntity":
-            return DataEntity(entity_type=type_text or "Other", **common)
-        if kind == "Actor":
-            return Actor(actor_type=type_text or "User", **common)
-        if kind == "UseCase":
-            return UseCase(uc_type=type_text or "Other", **common)
-        if kind == "Term":
-            pos = type_text or "Noun"
-            if pos not in POS_CATEGORIES:
-                self.error("RSL-S004", f"Unknown POS category '{pos}'", type_tok.span if type_tok else id_tok.span)
-                return None
-            return Term(pos_category=pos, **common)
-        if kind == "LinguisticRule":
-            if type_text != "Syntax":
-                self.error(
-                    "RSL-S004",
-                    f"Unsupported linguistic rule kind '{type_text}' (only Syntax is supported)",
-                    type_tok.span if type_tok else id_tok.span,
-                )
-                return None
-            return LinguisticRuleDecl(rule_kind="Syntax", **common)
-        if kind == "LinguisticLanguage":
-            if type_text not in LANGUAGES:
-                self.error(
-                    "RSL-S004",
-                    f"Unknown language '{type_text}'",
-                    type_tok.span if type_tok else id_tok.span,
-                )
-                return None
-            return LinguisticLanguageDecl(language=type_text, **common)
-        if kind == "Stakeholder":
-            return Stakeholder(
-                stakeholder_type=type_text or "Other",
-                stakeholder_subtype=subtype_tok.text if subtype_tok else None,
-                **common,
-            )
-        if kind == "FunctionalRequirement":
-            return FunctionalRequirement(fr_type=type_text or "Functional", **common)
-        raise AssertionError(kind)
 
     # -- bodies ------------------------------------------------------------
 
@@ -285,7 +224,7 @@ class _Parser:
                 return False
 
     def finish_body(self, elem: Element):
-        if isinstance(elem, DataEntity):
+        if elem.kind == "DataEntity":
             seen = set()
             pk = 0
             for attr in elem.attributes:
@@ -300,7 +239,7 @@ class _Parser:
                 self.diagnostics.append(
                     Diagnostic("Error", "RSL-S006", "More than one PrimaryKey attribute", elem.attributes[-1].span)
                 )
-        if isinstance(elem, Term) and elem.name is not None:
+        if elem.kind == "Term" and elem.name is not None:
             if elem.name.lower() in (s.lower() for s in elem.synonyms):
                 self.diagnostics.append(
                     Diagnostic(
@@ -310,205 +249,130 @@ class _Parser:
                         elem.name_span,
                     )
                 )
+
     def parse_clause(self, elem: Element, keyword: str) -> bool:
         tok = self.next()  # the clause keyword
-        if keyword == "description":
-            s = self.expect("string", what="a string")
-            if s is None:
-                return False
-            elem.description = s.text
-            elem.description_span = content_span(s)
-            return True
+        clause = _CLAUSES[elem.kind].get(keyword)
+        if clause is None:
+            self.error("RSL-S002", f"Clause '{keyword}' is not allowed in a {elem.kind} body", tok.span)
+            return False
+        value = _CLAUSE_VALUE[clause[2]](self, elem, tok, clause)
+        if value is None:
+            return False
+        setattr(elem, clause[1], value)
+        return True
 
-        if keyword == "attribute":
-            if not isinstance(elem, DataEntity):
-                return self.wrong_clause(tok, elem)
-            return self.parse_attribute(elem, tok)
+    # Each clause-value parser returns the value of the clause's field, or
+    # None after reporting an error; it sets the span and any second field.
 
-        if keyword in ("isA", "partOf"):
-            if not isinstance(elem, (DataEntity, Actor)) or (
-                keyword == "partOf" and not isinstance(elem, DataEntity)
-            ):
-                return self.wrong_clause(tok, elem)
-            target = self.expect("identifier", what="an element id")
-            if target is None:
-                return False
-            span = self.span_from(tok)
-            if keyword == "isA":
-                elem.is_a = target.text
-                elem.is_a_span = span
-            else:
-                elem.part_of = target.text
-                elem.part_of_span = span
-            return True
+    def parse_string(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+        s = self.expect("string", what="a string")
+        if s is None:
+            return None
+        if clause[4]:
+            setattr(elem, clause[4], content_span(s))
+        return s.text
 
-        if keyword in ("primaryActor", "dataEntity"):
-            if not isinstance(elem, UseCase):
-                return self.wrong_clause(tok, elem)
-            target = self.expect("identifier", what="an element id")
-            if target is None:
-                return False
-            if keyword == "primaryActor":
-                elem.primary_actor = target.text
-                elem.primary_actor_span = target.span
-            else:
-                elem.data_entity = target.text
-                elem.data_entity_span = target.span
-            return True
+    def parse_reference(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+        target = self.expect("identifier", what="an element id")
+        if target is None:
+            return None
+        # A hierarchy edge's span runs from the keyword: V003's fix deletes the clause.
+        setattr(elem, clause[4], self.span_from(tok) if clause[2] == "parent" else target.span)
+        return target.text
 
-        if keyword in ("actions", "extensionPoints"):
-            if not isinstance(elem, UseCase):
-                return self.wrong_clause(tok, elem)
-            names = self.parse_id_list()
-            if names is None:
-                return False
-            if keyword == "actions":
-                elem.actions = tuple(names)
-            else:
-                elem.extension_points = tuple(names)
-            return True
-
-        if keyword == "extends":
-            if not isinstance(elem, UseCase):
-                return self.wrong_clause(tok, elem)
-            target = self.expect("identifier", what="a use case id")
-            if target is None or self.expect("identifier", "onExtensionPoint") is None:
-                return False
-            point = self.expect("identifier", what="an extension point")
-            if point is None:
-                return False
-            elem.extends_target = target.text
-            elem.extends_point = point.text
-            elem.extends_span = self.span_from(tok)
-            return True
-
-        if keyword == "precondition":
-            if not isinstance(elem, UseCase):
-                return self.wrong_clause(tok, elem)
-            s = self.expect("string", what="a string")
-            if s is None:
-                return False
-            elem.precondition = s.text
-            return True
-
-        if keyword == "synonyms":
-            if not isinstance(elem, Term):
-                return self.wrong_clause(tok, elem)
-            values = []
-            while True:
-                s = self.expect("string", what="a string")
-                if s is None:
-                    return False
-                values.append(s.text)
-                if not self.accept("punct", ","):
-                    break
-            elem.synonyms = tuple(values)
-            return True
-
-        if keyword == "property":
-            if not isinstance(elem, LinguisticRuleDecl):
-                return self.wrong_clause(tok, elem)
-            kind_tok = self.expect("identifier", what="an element kind")
-            if kind_tok is None or self.expect("punct", ".") is None:
-                return False
-            frag_tok = self.expect("identifier", what="a fragment (id, name or description)")
-            if frag_tok is None:
-                return False
-            if kind_tok.text not in ELEMENT_KINDS:
-                self.error("RSL-S004", f"Unknown element kind '{kind_tok.text}'", kind_tok.span)
-                return False
-            if frag_tok.text not in FRAGMENTS:
-                self.error("RSL-S004", f"Unknown fragment '{frag_tok.text}'", frag_tok.span)
-                return False
-            elem.target_kind = kind_tok.text
-            elem.fragment = frag_tok.text
-            return True
-
-        if keyword == "pattern":
-            if not isinstance(elem, LinguisticRuleDecl):
-                return self.wrong_clause(tok, elem)
-            pattern = self.parse_pattern()
-            if pattern is None:
-                return False
-            elem.pattern = pattern
-            return True
-
-        if keyword == "severity":
-            if not isinstance(elem, LinguisticRuleDecl):
-                return self.wrong_clause(tok, elem)
-            sev = self.expect("identifier", what="Error, Warning or Info")
-            if sev is None:
-                return False
-            if sev.text not in SEVERITIES:
-                self.error("RSL-S004", f"Unknown severity '{sev.text}'", sev.span)
-                return False
-            elem.severity = sev.text
-            return True
-
-        return self.wrong_clause(tok, elem)
-
-    def wrong_clause(self, tok: RslToken, elem: Element) -> bool:
-        self.error(
-            "RSL-S002",
-            f"Clause '{tok.text}' is not allowed in a {type(elem).kind} body",
-            tok.span,
-        )
-        return False
-
-    def parse_id_list(self) -> Optional[list[str]]:
-        names = []
+    def parse_list(self, elem: Element, tok: RslToken, clause) -> Optional[tuple]:
+        kind, what = ("identifier", "an identifier") if clause[2] == "ids" else ("string", "a string")
+        values = []
         while True:
-            tok = self.expect("identifier", what="an identifier")
-            if tok is None:
+            value = self.expect(kind, what=what)
+            if value is None:
                 return None
-            names.append(tok.text)
+            values.append(value.text)
             if not self.accept("punct", ","):
-                return names
+                return tuple(values)
 
-    def parse_attribute(self, entity: DataEntity, start: RslToken) -> bool:
+    def parse_enum(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+        allowed = clause[3]
+        value = self.expect("identifier", what=", ".join(allowed[:-1]) + " or " + allowed[-1])
+        if value is None:
+            return None
+        if value.text not in allowed:
+            self.error("RSL-S004", f"Unknown {tok.text} '{value.text}'", value.span)
+            return None
+        return value.text
+
+    def parse_extends(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+        target = self.expect("identifier", what="a use case id")
+        if target is None or self.expect("identifier", "onExtensionPoint") is None:
+            return None
+        point = self.expect("identifier", what="an extension point")
+        if point is None:
+            return None
+        elem.extends_point = point.text
+        setattr(elem, clause[4], self.span_from(tok))
+        return target.text
+
+    def parse_property(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+        kind_tok = self.expect("identifier", what="an element kind")
+        if kind_tok is None or self.expect("punct", ".") is None:
+            return None
+        frag_tok = self.expect("identifier", what="a fragment (id, name or description)")
+        if frag_tok is None:
+            return None
+        if kind_tok.text not in ELEMENT_KINDS:
+            self.error("RSL-S004", f"Unknown element kind '{kind_tok.text}'", kind_tok.span)
+            return None
+        if frag_tok.text not in FRAGMENTS:
+            self.error("RSL-S004", f"Unknown fragment '{frag_tok.text}'", frag_tok.span)
+            return None
+        elem.fragment = frag_tok.text
+        return kind_tok.text
+
+    def parse_attribute(self, entity: DataEntity, start: RslToken, clause) -> Optional[tuple]:
         id_tok = self.expect("identifier", what="an attribute id")
         if id_tok is None:
-            return False
+            return None
         name_tok = self.expect("string", what="an attribute name")
         if name_tok is None or self.expect("punct", ":") is None:
-            return False
+            return None
         dtype = self.expect("identifier", what="a data type")
         if dtype is None:
-            return False
+            return None
         if dtype.text not in DATA_TYPES:
             self.error("RSL-S004", f"Unknown data type '{dtype.text}'", dtype.span)
-            return False
+            return None
         constraints: list[str] = []
         default_value = None
         if self.accept("punct", "["):
             while not self.accept("punct", "]"):
                 if self.accept("identifier", "constraints"):
                     if self.expect("punct", "(") is None:
-                        return False
+                        return None
                     while True:
                         c = self.expect("identifier", what="a constraint")
                         if c is None:
-                            return False
+                            return None
                         if c.text not in CONSTRAINTS:
                             self.error("RSL-S004", f"Unknown constraint '{c.text}'", c.span)
-                            return False
+                            return None
                         constraints.append(c.text)
                         if not self.accept("punct", ","):
                             break
                     if self.expect("punct", ")") is None:
-                        return False
+                        return None
                 elif self.accept("identifier", "defaultValue"):
                     s = self.expect("string", what="a string")
                     if s is None:
-                        return False
+                        return None
                     default_value = s.text
                 else:
                     self.error(
                         "RSL-S002",
                         f"Unexpected token '{self.peek().text}' in attribute options",
                     )
-                    return False
-        entity.attributes = entity.attributes + (
+                    return None
+        return entity.attributes + (
             Attribute(
                 id=id_tok.text,
                 name=name_tok.text,
@@ -518,7 +382,6 @@ class _Parser:
                 span=self.span_from(start),
             ),
         )
-        return True
 
     # -- linguistic patterns -------------------------------------------------
 
@@ -574,6 +437,21 @@ class _Parser:
             return None
         self.error("RSL-S003", f"Expected a pattern part but found '{tok.text or 'end of input'}'", tok.span)
         return None
+
+
+_CLAUSES = {kind: {c[0]: c for c in row["clauses"]} for kind, row in KIND_TABLE.items()}
+_CLAUSE_VALUE = {
+    "string": _Parser.parse_string,
+    "ref": _Parser.parse_reference,
+    "parent": _Parser.parse_reference,
+    "ids": _Parser.parse_list,
+    "strings": _Parser.parse_list,
+    "enum": _Parser.parse_enum,
+    "pattern": lambda parser, elem, tok, clause: parser.parse_pattern(),
+    "attribute": _Parser.parse_attribute,
+    "extends": _Parser.parse_extends,
+    "property": _Parser.parse_property,
+}
 
 
 def parse(source: str, file: str = "<memory>") -> tuple[Model, list[Diagnostic]]:

@@ -7,22 +7,14 @@ element-creating quick fixes and the round-trip tests.
 from __future__ import annotations
 
 from .model import (
-    Actor,
+    KIND_TABLE,
     AltPart,
-    DataEntity,
     Element,
-    FragmentRefPart,
-    FunctionalRequirement,
     IncludeDecl,
-    LinguisticLanguageDecl,
-    LinguisticRuleDecl,
     LitPart,
     Model,
     PatternExpr,
     PosPart,
-    Stakeholder,
-    Term,
-    UseCase,
 )
 
 
@@ -30,90 +22,83 @@ def quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def pattern_atom(part) -> str:
+    """A POS category or a fragment reference as a pattern writes it."""
+    if isinstance(part, PosPart):
+        return part.category
+    return f"{part.element_kind}.{part.fragment}"
+
+
 def print_pattern(pattern: PatternExpr) -> str:
-    def atom(part):
-        if isinstance(part, PosPart):
-            return part.category
+    def text(part):
         if isinstance(part, LitPart):
             return quote(part.text)
-        if isinstance(part, FragmentRefPart):
-            return f"{part.element_kind}.{part.fragment}"
-        raise TypeError(part)
-
-    rendered = []
-    for part in pattern.parts:
         if isinstance(part, AltPart):
-            rendered.append("(" + " | ".join(atom(o) for o in part.options) + ")")
-        else:
-            rendered.append(atom(part))
-    return " + ".join(rendered)
+            return "(" + " | ".join(text(o) for o in part.options) + ")"
+        return pattern_atom(part)
+
+    return " + ".join(text(p) for p in pattern.parts)
+
+
+def render_pattern(pattern: PatternExpr) -> str:
+    """Pattern for messages: each non-literal part parenthesized, literals unescaped."""
+
+    def text(part):
+        if isinstance(part, LitPart):
+            return f'"{part.text}"'
+        options = part.options if isinstance(part, AltPart) else (part,)
+        return "(" + " | ".join(text(o) if isinstance(o, LitPart) else pattern_atom(o) for o in options) + ")"
+
+    return " + ".join(text(p) for p in pattern.parts)
 
 
 def print_element(elem: Element) -> str:
+    row = KIND_TABLE[elem.kind]
     head = elem.kind + " " + elem.id
     if elem.name is not None:
         head += " " + quote(elem.name)
+    head += " : " + getattr(elem, row["type"][1])
+    subtype = row.get("subtype")
+    if subtype and getattr(elem, subtype):
+        head += "." + getattr(elem, subtype)
+
     body: list[str] = []
-
-    if isinstance(elem, DataEntity):
-        head += " : " + elem.entity_type
-        for a in elem.attributes:
-            line = f"attribute {a.id} {quote(a.name)} : {a.data_type}"
-            opts = []
-            if a.constraints:
-                opts.append("constraints (" + ", ".join(a.constraints) + ")")
-            if a.default_value is not None:
-                opts.append("defaultValue " + quote(a.default_value))
-            if opts:
-                line += " [" + " ".join(opts) + "]"
-            body.append(line)
-        if elem.is_a:
-            body.append("isA " + elem.is_a)
-        if elem.part_of:
-            body.append("partOf " + elem.part_of)
-    elif isinstance(elem, Actor):
-        head += " : " + elem.actor_type
-        if elem.is_a:
-            body.append("isA " + elem.is_a)
-    elif isinstance(elem, UseCase):
-        head += " : " + elem.uc_type
-        if elem.primary_actor:
-            body.append("primaryActor " + elem.primary_actor)
-        if elem.data_entity:
-            body.append("dataEntity " + elem.data_entity)
-        if elem.actions:
-            body.append("actions " + ", ".join(elem.actions))
-        if elem.extension_points:
-            body.append("extensionPoints " + ", ".join(elem.extension_points))
-        if elem.extends_target:
-            body.append(f"extends {elem.extends_target} onExtensionPoint {elem.extends_point}")
-        if elem.precondition is not None:
-            body.append("precondition " + quote(elem.precondition))
-    elif isinstance(elem, Term):
-        head += " : " + elem.pos_category
-        if elem.synonyms:
-            body.append("synonyms " + ", ".join(quote(s) for s in elem.synonyms))
-    elif isinstance(elem, LinguisticRuleDecl):
-        head += " : Syntax"
-        body.append(f"property {elem.target_kind}.{elem.fragment}")
-        if elem.pattern is not None:
-            body.append("pattern " + print_pattern(elem.pattern))
-        body.append("severity " + elem.severity)
-    elif isinstance(elem, LinguisticLanguageDecl):
-        head += " : " + elem.language
-    elif isinstance(elem, Stakeholder):
-        head += " : " + elem.stakeholder_type
-        if elem.stakeholder_subtype:
-            head += "." + elem.stakeholder_subtype
-    elif isinstance(elem, FunctionalRequirement):
-        head += " : " + elem.fr_type
-
-    if elem.description is not None:
-        body.append("description " + quote(elem.description))
+    for keyword, field, shape, _, _ in row["clauses"]:
+        value = getattr(elem, field)
+        if value is None or not value and shape != "string":
+            continue
+        if shape == "attribute":
+            body += [_attribute_line(a) for a in value]
+            continue
+        if shape == "ids":
+            value = ", ".join(value)
+        elif shape == "strings":
+            value = ", ".join(quote(s) for s in value)
+        elif shape == "string":
+            value = quote(value)
+        elif shape == "extends":
+            value = f"{value} onExtensionPoint {elem.extends_point}"
+        elif shape == "property":
+            value = f"{value}.{elem.fragment}"
+        elif shape == "pattern":
+            value = print_pattern(value)
+        body.append(keyword + " " + value)
 
     if not body:
         return head
     return head + " [\n" + "\n".join("  " + line for line in body) + "\n]"
+
+
+def _attribute_line(a) -> str:
+    line = f"attribute {a.id} {quote(a.name)} : {a.data_type}"
+    opts = []
+    if a.constraints:
+        opts.append("constraints (" + ", ".join(a.constraints) + ")")
+    if a.default_value is not None:
+        opts.append("defaultValue " + quote(a.default_value))
+    if opts:
+        line += " [" + " ".join(opts) + "]"
+    return line
 
 
 def print_include(inc: IncludeDecl) -> str:

@@ -22,8 +22,8 @@ from .model import (
     QuickFix,
     SourceSpan,
     TextEdit,
-    render_pattern,
 )
+from .printer import pattern_atom, render_pattern
 from .workspace import ResolvedModel
 
 ID_PREFIXES = {"DataEntity": "ec", "Actor": "a", "UseCase": "uc"}
@@ -65,10 +65,7 @@ def _expectation_line(result: MatchResult) -> str:
     if isinstance(part, PosPart):
         return f"Expected a {part.category}"
     if isinstance(part, AltPart):
-        names = " or ".join(
-            o.category if isinstance(o, PosPart) else f"'{o.text}'" if isinstance(o, LitPart) else f"{o.element_kind}.{o.fragment}"
-            for o in part.options
-        )
+        names = " or ".join(f"'{o.text}'" if isinstance(o, LitPart) else pattern_atom(o) for o in part.options)
         return f"Expected a {names}"
     if isinstance(part, FragmentRefPart):
         return f"Expected the {part.fragment} of a/an '{part.element_kind}'"

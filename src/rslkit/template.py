@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional
+
+# Deepest section nesting and expression nesting a template may use; the
+# parser and the renderer recurse once per level.
+MAX_NESTING_DEPTH = 50
 
 
 class TemplateSyntaxError(Exception):
@@ -93,6 +97,8 @@ def parse_template(text: str) -> TemplateDocument:
         if not inner:
             raise TemplateSyntaxError(brace, "empty tag")
         if inner[0] in "#^":
+            if len(stack) == MAX_NESTING_DEPTH:
+                raise TemplateSyntaxError(brace, f"sections nested deeper than {MAX_NESTING_DEPTH}")
             label = inner[1:].strip()
             section = Section(label, parse_expression(label, brace), inner[0] == "^", [], brace)
             current.append(section)
@@ -174,6 +180,8 @@ _TOKEN_RE = re.compile(
 )
 
 BUILTINS = ("upper", "lower", "length", "join", "default")
+# Binary operators by precedence, loosest first; each level is left-associative.
+_BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<=", ">=", "<", ">"), ("+", "-"), ("*", "/", "%"))
 
 
 class _ExprParser:
@@ -194,6 +202,7 @@ class _ExprParser:
                     self.tokens.append((group, m.group(group)))
                     break
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -215,74 +224,48 @@ class _ExprParser:
         expr = self.ternary()
         if self.peek() is not None:
             raise TemplateSyntaxError(self.position, f"trailing tokens in expression '{self.source}'")
+        self.nest(_height(expr))  # operator and member chains nest the tree, not the descent
         return expr
 
+    def nest(self, levels: int):
+        """Go levels deeper (negative: back up); refuse past MAX_NESTING_DEPTH.
+
+        Every recursion of the descent passes through ternary() or a prefix
+        operator in unary(), which count their depth here.
+        """
+        self.depth += levels
+        if self.depth > MAX_NESTING_DEPTH:
+            raise TemplateSyntaxError(self.position, f"expression nested deeper than {MAX_NESTING_DEPTH}")
+
     def ternary(self) -> Expr:
-        cond = self.logic_or()
+        self.nest(1)
+        expr = self.binary()
         if self.accept("op", "?"):
             then = self.ternary()
             self.expect("op", ":")
-            other = self.ternary()
-            return Conditional(cond, then, other)
-        return cond
+            expr = Conditional(expr, then, self.ternary())
+        self.nest(-1)
+        return expr
 
-    def logic_or(self) -> Expr:
-        left = self.logic_and()
-        while self.accept("op", "||"):
-            left = Binary("||", left, self.logic_and())
-        return left
-
-    def logic_and(self) -> Expr:
-        left = self.equality()
-        while self.accept("op", "&&"):
-            left = Binary("&&", left, self.equality())
-        return left
-
-    def equality(self) -> Expr:
-        left = self.comparison()
+    def binary(self, level: int = 0) -> Expr:
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        left = self.binary(level + 1)
         while True:
-            for op in ("==", "!="):
+            for op in _BINARY_LEVELS[level]:
                 if self.accept("op", op):
-                    left = Binary(op, left, self.comparison())
-                    break
-            else:
-                return left
-
-    def comparison(self) -> Expr:
-        left = self.additive()
-        while True:
-            for op in ("<=", ">=", "<", ">"):
-                if self.accept("op", op):
-                    left = Binary(op, left, self.additive())
-                    break
-            else:
-                return left
-
-    def additive(self) -> Expr:
-        left = self.multiplicative()
-        while True:
-            for op in ("+", "-"):
-                if self.accept("op", op):
-                    left = Binary(op, left, self.multiplicative())
-                    break
-            else:
-                return left
-
-    def multiplicative(self) -> Expr:
-        left = self.unary()
-        while True:
-            for op in ("*", "/", "%"):
-                if self.accept("op", op):
-                    left = Binary(op, left, self.unary())
+                    left = Binary(op, left, self.binary(level + 1))
                     break
             else:
                 return left
 
     def unary(self) -> Expr:
-        if self.accept("op", "!"):
-            return Unary("!", self.unary())
-        if self.accept("op", "-"):
-            return Unary("-", self.unary())
+        for op in ("!", "-"):
+            if self.accept("op", op):
+                self.nest(1)
+                expr = Unary(op, self.unary())
+                self.nest(-1)
+                return expr
         return self.postfix()
 
     def postfix(self) -> Expr:
@@ -332,6 +315,17 @@ class _ExprParser:
             self.expect("op", ")")
             return inner
         raise TemplateSyntaxError(self.position, f"unexpected '{text}' in expression '{self.source}'")
+
+
+def _height(expr: Expr) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        children = node.args if isinstance(node, Call) else [v for v in vars(node).values() if is_dataclass(v)]
+        stack += [(child, level + 1) for child in children]
+    return deepest
 
 
 def parse_expression(source: str, position: int = 0) -> Expr:

@@ -11,21 +11,21 @@ from typing import Optional
 
 from . import parser
 from .model import (
-    Actor,
-    DataEntity,
+    KIND_TABLE,
     Diagnostic,
     Element,
     IncludeDecl,
-    LinguisticLanguageDecl,
     Model,
     QuickFix,
     SourceSpan,
     TextEdit,
-    UseCase,
 )
 from .printer import print_element
 
 MAX_INCLUDE_DEPTH = 16
+_REFERENCES = {
+    kind: [c for c in row["clauses"] if c[2] in ("ref", "parent", "extends")] for kind, row in KIND_TABLE.items()
+}
 
 
 @dataclass
@@ -129,7 +129,7 @@ def _included_elements(
     model = ws.system(system_id)
     if model is None:
         return []
-    out = [e for e in model.elements if not isinstance(e, LinguisticLanguageDecl)]
+    out = [e for e in model.elements if e.kind != "LinguisticLanguage"]
     for inc in model.includes:
         if inc.mode == "Import":
             continue
@@ -209,53 +209,28 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
         for e in pool:
             index.setdefault((e.kind, e.id), e)
 
-    def bind(elem: Element, ref_field: str, kind: str, ref_id: Optional[str], span):
-        if ref_id is None:
-            return
-        target = index.get((kind, ref_id))
-        if target is None:
-            diags.append(
-                Diagnostic(
-                    "Error",
-                    "RSL-R001",
-                    f"Unresolved reference: no {kind} with id '{ref_id}'",
-                    span or elem.span,
-                )
-            )
-            return
-        rm.bindings[(id(elem), ref_field)] = target
-
     for elem in effective:
-        if isinstance(elem, Actor):
-            bind(elem, "is_a", "Actor", elem.is_a, elem.is_a_span)
-        elif isinstance(elem, DataEntity):
-            bind(elem, "is_a", "DataEntity", elem.is_a, elem.is_a_span)
-            bind(elem, "part_of", "DataEntity", elem.part_of, elem.part_of_span)
-        elif isinstance(elem, UseCase):
-            bind(elem, "primary_actor", "Actor", elem.primary_actor, elem.primary_actor_span)
-            bind(elem, "data_entity", "DataEntity", elem.data_entity, elem.data_entity_span)
-            if elem.extends_target is not None:
-                target = index.get(("UseCase", elem.extends_target))
-                if target is None:
-                    diags.append(
-                        Diagnostic(
-                            "Error",
-                            "RSL-R001",
-                            f"Unresolved reference: no UseCase with id '{elem.extends_target}'",
-                            elem.extends_span or elem.span,
-                        )
+        for _, field, shape, kind, span_field in _REFERENCES[elem.kind]:
+            ref_id = getattr(elem, field)
+            if ref_id is None:
+                continue
+            span = getattr(elem, span_field) or elem.span
+            target = index.get((kind, ref_id))
+            if target is None:
+                diags.append(
+                    Diagnostic("Error", "RSL-R001", f"Unresolved reference: no {kind} with id '{ref_id}'", span)
+                )
+                continue
+            rm.bindings[(id(elem), field)] = target
+            if shape == "extends" and elem.extends_point not in target.extension_points:
+                diags.append(
+                    Diagnostic(
+                        "Error",
+                        "RSL-R001",
+                        f"Use case '{ref_id}' declares no extension point '{elem.extends_point}'",
+                        span,
                     )
-                else:
-                    rm.bindings[(id(elem), "extends_target")] = target
-                    if elem.extends_point not in target.extension_points:
-                        diags.append(
-                            Diagnostic(
-                                "Error",
-                                "RSL-R001",
-                                f"Use case '{elem.extends_target}' declares no extension point '{elem.extends_point}'",
-                                elem.extends_span or elem.span,
-                            )
-                        )
+                )
     return rm
 
 

@@ -15,6 +15,12 @@ eagerly.
 The workspace-loader oracle is the eager loader the CLI used to have: it
 parses every input and manifest entry up front, whether or not a target
 reaches it.
+
+The element-kind oracles are the per-kind code the element-kind table
+replaced, kept as it was: the parser's element head and clause layer,
+the element printer, the JSON and text builders and the reference
+binding of `resolve`, each one hand-written `isinstance` ladder per kind,
+plus the pattern renderer that L001 messages use.
 """
 
 from collections import deque
@@ -23,9 +29,38 @@ from pathlib import Path
 from typing import Optional
 
 from rslkit import cli
+from rslkit.lexer import RslToken, content_span
 from rslkit.matching import MatchResult, normalize
-from rslkit.model import AltPart, FragmentRefPart, LitPart, PosPart, POS_CATEGORIES, SourceSpan
-from rslkit.workspace import Workspace, add_system
+from rslkit.model import (
+    CONSTRAINTS,
+    DATA_TYPES,
+    ELEMENT_KINDS,
+    FRAGMENTS,
+    LANGUAGES,
+    POS_CATEGORIES,
+    SEVERITIES,
+    Actor,
+    AltPart,
+    Attribute,
+    DataEntity,
+    Diagnostic,
+    Element,
+    FragmentRefPart,
+    FunctionalRequirement,
+    LinguisticLanguageDecl,
+    LinguisticRuleDecl,
+    LitPart,
+    Model,
+    PatternExpr,
+    PosPart,
+    SourceSpan,
+    Stakeholder,
+    Term,
+    UseCase,
+)
+from rslkit.parser import _Parser
+from rslkit.printer import print_include, quote
+from rslkit.workspace import ResolvedModel, Workspace, _resolve_include, _included_elements, add_system
 
 
 def reachable_from(graph: dict, start) -> set:
@@ -295,3 +330,720 @@ def oracle_build_workspace(paths: list[str], args):
         seen.add(name)
         add_system(ws, name, cli.read_source(path), str(Path(path)))
     return ws, targets
+
+
+BODY_KEYWORDS = {
+    "attribute",
+    "isA",
+    "partOf",
+    "primaryActor",
+    "dataEntity",
+    "actions",
+    "extensionPoints",
+    "extends",
+    "precondition",
+    "synonyms",
+    "property",
+    "pattern",
+    "severity",
+    "description",
+}
+
+
+class OracleParser(_Parser):
+    """The parser's element and clause layer as it was before the kind table."""
+
+    def parse_element(self) -> Optional[Element]:
+        start = self.next()
+        kind = start.text
+        id_tok = self.expect("identifier", what="an identifier")
+        if id_tok is None:
+            return None
+
+        name_tok = self.accept("string")
+        type_tok = None
+        subtype_tok = None
+        if self.accept("punct", ":"):
+            type_tok = self.expect("identifier", what="a type")
+            if type_tok is None:
+                return None
+            if kind == "Stakeholder" and self.accept("punct", "."):
+                subtype_tok = self.expect("identifier", what="a subtype")
+                if subtype_tok is None:
+                    return None
+
+        elem = self.make_element(kind, id_tok, name_tok, type_tok, subtype_tok)
+        if elem is None:
+            return None
+
+        ok = True
+        if self.accept("punct", "["):
+            ok = self.parse_body(elem)
+        elem.span = self.span_from(start)
+        if ok and isinstance(elem, LinguisticRuleDecl) and elem.pattern is None:
+            self.diagnostics.append(
+                Diagnostic("Error", "RSL-S002", f"Linguistic rule '{elem.id}' has no pattern", elem.id_span)
+            )
+        return elem
+
+    def make_element(self, kind, id_tok, name_tok, type_tok, subtype_tok) -> Optional[Element]:
+        type_text = type_tok.text if type_tok else None
+        common = dict(
+            id=id_tok.text,
+            name=name_tok.text if name_tok else None,
+            id_span=id_tok.span,
+            name_span=content_span(name_tok) if name_tok else None,
+        )
+        if kind == "DataEntity":
+            return DataEntity(entity_type=type_text or "Other", **common)
+        if kind == "Actor":
+            return Actor(actor_type=type_text or "User", **common)
+        if kind == "UseCase":
+            return UseCase(uc_type=type_text or "Other", **common)
+        if kind == "Term":
+            pos = type_text or "Noun"
+            if pos not in POS_CATEGORIES:
+                self.error("RSL-S004", f"Unknown POS category '{pos}'", type_tok.span if type_tok else id_tok.span)
+                return None
+            return Term(pos_category=pos, **common)
+        if kind == "LinguisticRule":
+            if type_text != "Syntax":
+                self.error(
+                    "RSL-S004",
+                    f"Unsupported linguistic rule kind '{type_text}' (only Syntax is supported)",
+                    type_tok.span if type_tok else id_tok.span,
+                )
+                return None
+            return LinguisticRuleDecl(rule_kind="Syntax", **common)
+        if kind == "LinguisticLanguage":
+            if type_text not in LANGUAGES:
+                self.error(
+                    "RSL-S004",
+                    f"Unknown language '{type_text}'",
+                    type_tok.span if type_tok else id_tok.span,
+                )
+                return None
+            return LinguisticLanguageDecl(language=type_text, **common)
+        if kind == "Stakeholder":
+            return Stakeholder(
+                stakeholder_type=type_text or "Other",
+                stakeholder_subtype=subtype_tok.text if subtype_tok else None,
+                **common,
+            )
+        if kind == "FunctionalRequirement":
+            return FunctionalRequirement(fr_type=type_text or "Functional", **common)
+        raise AssertionError(kind)
+
+    # -- bodies ------------------------------------------------------------
+
+    def parse_body(self, elem: Element) -> bool:
+        while True:
+            if self.accept("punct", "]"):
+                self.finish_body(elem)
+                return True
+            tok = self.peek()
+            if tok.kind == "end":
+                self.error("RSL-S002", "Expected ']' but found end of input")
+                self.finish_body(elem)
+                return False
+            if tok.kind != "identifier" or tok.text not in BODY_KEYWORDS:
+                self.error("RSL-S002", f"Unexpected token '{tok.text}' in element body", tok.span)
+                return False
+            if not self.parse_clause(elem, tok.text):
+                return False
+
+    def finish_body(self, elem: Element):
+        if isinstance(elem, DataEntity):
+            seen = set()
+            pk = 0
+            for attr in elem.attributes:
+                if attr.id in seen:
+                    self.diagnostics.append(
+                        Diagnostic("Error", "RSL-S006", f"Duplicate attribute id '{attr.id}'", attr.span)
+                    )
+                seen.add(attr.id)
+                if "PrimaryKey" in attr.constraints:
+                    pk += 1
+            if pk > 1:
+                self.diagnostics.append(
+                    Diagnostic("Error", "RSL-S006", "More than one PrimaryKey attribute", elem.attributes[-1].span)
+                )
+        if isinstance(elem, Term) and elem.name is not None:
+            if elem.name.lower() in (s.lower() for s in elem.synonyms):
+                self.diagnostics.append(
+                    Diagnostic(
+                        "Error",
+                        "RSL-S007",
+                        f"Term '{elem.id}' lists its own main word among its synonyms",
+                        elem.name_span,
+                    )
+                )
+
+    def parse_clause(self, elem: Element, keyword: str) -> bool:
+        tok = self.next()  # the clause keyword
+        if keyword == "description":
+            s = self.expect("string", what="a string")
+            if s is None:
+                return False
+            elem.description = s.text
+            elem.description_span = content_span(s)
+            return True
+
+        if keyword == "attribute":
+            if not isinstance(elem, DataEntity):
+                return self.wrong_clause(tok, elem)
+            return self.parse_attribute(elem, tok)
+
+        if keyword in ("isA", "partOf"):
+            if not isinstance(elem, (DataEntity, Actor)) or (
+                keyword == "partOf" and not isinstance(elem, DataEntity)
+            ):
+                return self.wrong_clause(tok, elem)
+            target = self.expect("identifier", what="an element id")
+            if target is None:
+                return False
+            span = self.span_from(tok)
+            if keyword == "isA":
+                elem.is_a = target.text
+                elem.is_a_span = span
+            else:
+                elem.part_of = target.text
+                elem.part_of_span = span
+            return True
+
+        if keyword in ("primaryActor", "dataEntity"):
+            if not isinstance(elem, UseCase):
+                return self.wrong_clause(tok, elem)
+            target = self.expect("identifier", what="an element id")
+            if target is None:
+                return False
+            if keyword == "primaryActor":
+                elem.primary_actor = target.text
+                elem.primary_actor_span = target.span
+            else:
+                elem.data_entity = target.text
+                elem.data_entity_span = target.span
+            return True
+
+        if keyword in ("actions", "extensionPoints"):
+            if not isinstance(elem, UseCase):
+                return self.wrong_clause(tok, elem)
+            names = self.parse_id_list()
+            if names is None:
+                return False
+            if keyword == "actions":
+                elem.actions = tuple(names)
+            else:
+                elem.extension_points = tuple(names)
+            return True
+
+        if keyword == "extends":
+            if not isinstance(elem, UseCase):
+                return self.wrong_clause(tok, elem)
+            target = self.expect("identifier", what="a use case id")
+            if target is None or self.expect("identifier", "onExtensionPoint") is None:
+                return False
+            point = self.expect("identifier", what="an extension point")
+            if point is None:
+                return False
+            elem.extends_target = target.text
+            elem.extends_point = point.text
+            elem.extends_span = self.span_from(tok)
+            return True
+
+        if keyword == "precondition":
+            if not isinstance(elem, UseCase):
+                return self.wrong_clause(tok, elem)
+            s = self.expect("string", what="a string")
+            if s is None:
+                return False
+            elem.precondition = s.text
+            return True
+
+        if keyword == "synonyms":
+            if not isinstance(elem, Term):
+                return self.wrong_clause(tok, elem)
+            values = []
+            while True:
+                s = self.expect("string", what="a string")
+                if s is None:
+                    return False
+                values.append(s.text)
+                if not self.accept("punct", ","):
+                    break
+            elem.synonyms = tuple(values)
+            return True
+
+        if keyword == "property":
+            if not isinstance(elem, LinguisticRuleDecl):
+                return self.wrong_clause(tok, elem)
+            kind_tok = self.expect("identifier", what="an element kind")
+            if kind_tok is None or self.expect("punct", ".") is None:
+                return False
+            frag_tok = self.expect("identifier", what="a fragment (id, name or description)")
+            if frag_tok is None:
+                return False
+            if kind_tok.text not in ELEMENT_KINDS:
+                self.error("RSL-S004", f"Unknown element kind '{kind_tok.text}'", kind_tok.span)
+                return False
+            if frag_tok.text not in FRAGMENTS:
+                self.error("RSL-S004", f"Unknown fragment '{frag_tok.text}'", frag_tok.span)
+                return False
+            elem.target_kind = kind_tok.text
+            elem.fragment = frag_tok.text
+            return True
+
+        if keyword == "pattern":
+            if not isinstance(elem, LinguisticRuleDecl):
+                return self.wrong_clause(tok, elem)
+            pattern = self.parse_pattern()
+            if pattern is None:
+                return False
+            elem.pattern = pattern
+            return True
+
+        if keyword == "severity":
+            if not isinstance(elem, LinguisticRuleDecl):
+                return self.wrong_clause(tok, elem)
+            sev = self.expect("identifier", what="Error, Warning or Info")
+            if sev is None:
+                return False
+            if sev.text not in SEVERITIES:
+                self.error("RSL-S004", f"Unknown severity '{sev.text}'", sev.span)
+                return False
+            elem.severity = sev.text
+            return True
+
+        return self.wrong_clause(tok, elem)
+
+    def wrong_clause(self, tok: RslToken, elem: Element) -> bool:
+        self.error(
+            "RSL-S002",
+            f"Clause '{tok.text}' is not allowed in a {type(elem).kind} body",
+            tok.span,
+        )
+        return False
+
+    def parse_id_list(self) -> Optional[list[str]]:
+        names = []
+        while True:
+            tok = self.expect("identifier", what="an identifier")
+            if tok is None:
+                return None
+            names.append(tok.text)
+            if not self.accept("punct", ","):
+                return names
+
+    def parse_attribute(self, entity: DataEntity, start: RslToken) -> bool:
+        id_tok = self.expect("identifier", what="an attribute id")
+        if id_tok is None:
+            return False
+        name_tok = self.expect("string", what="an attribute name")
+        if name_tok is None or self.expect("punct", ":") is None:
+            return False
+        dtype = self.expect("identifier", what="a data type")
+        if dtype is None:
+            return False
+        if dtype.text not in DATA_TYPES:
+            self.error("RSL-S004", f"Unknown data type '{dtype.text}'", dtype.span)
+            return False
+        constraints: list[str] = []
+        default_value = None
+        if self.accept("punct", "["):
+            while not self.accept("punct", "]"):
+                if self.accept("identifier", "constraints"):
+                    if self.expect("punct", "(") is None:
+                        return False
+                    while True:
+                        c = self.expect("identifier", what="a constraint")
+                        if c is None:
+                            return False
+                        if c.text not in CONSTRAINTS:
+                            self.error("RSL-S004", f"Unknown constraint '{c.text}'", c.span)
+                            return False
+                        constraints.append(c.text)
+                        if not self.accept("punct", ","):
+                            break
+                    if self.expect("punct", ")") is None:
+                        return False
+                elif self.accept("identifier", "defaultValue"):
+                    s = self.expect("string", what="a string")
+                    if s is None:
+                        return False
+                    default_value = s.text
+                else:
+                    self.error(
+                        "RSL-S002",
+                        f"Unexpected token '{self.peek().text}' in attribute options",
+                    )
+                    return False
+        entity.attributes = entity.attributes + (
+            Attribute(
+                id=id_tok.text,
+                name=name_tok.text,
+                data_type=dtype.text,
+                constraints=tuple(constraints),
+                default_value=default_value,
+                span=self.span_from(start),
+            ),
+        )
+        return True
+
+    # -- linguistic patterns -------------------------------------------------
+
+
+def oracle_parse(source: str, file: str = "<memory>"):
+    p = OracleParser(source, file)
+    model = p.parse_document()
+    return model, p.diagnostics
+
+
+def oracle_print_pattern(pattern: PatternExpr) -> str:
+    def atom(part):
+        if isinstance(part, PosPart):
+            return part.category
+        if isinstance(part, LitPart):
+            return quote(part.text)
+        if isinstance(part, FragmentRefPart):
+            return f"{part.element_kind}.{part.fragment}"
+        raise TypeError(part)
+
+    rendered = []
+    for part in pattern.parts:
+        if isinstance(part, AltPart):
+            rendered.append("(" + " | ".join(atom(o) for o in part.options) + ")")
+        else:
+            rendered.append(atom(part))
+    return " + ".join(rendered)
+
+def oracle_print_element(elem: Element) -> str:
+    head = elem.kind + " " + elem.id
+    if elem.name is not None:
+        head += " " + quote(elem.name)
+    body: list[str] = []
+
+    if isinstance(elem, DataEntity):
+        head += " : " + elem.entity_type
+        for a in elem.attributes:
+            line = f"attribute {a.id} {quote(a.name)} : {a.data_type}"
+            opts = []
+            if a.constraints:
+                opts.append("constraints (" + ", ".join(a.constraints) + ")")
+            if a.default_value is not None:
+                opts.append("defaultValue " + quote(a.default_value))
+            if opts:
+                line += " [" + " ".join(opts) + "]"
+            body.append(line)
+        if elem.is_a:
+            body.append("isA " + elem.is_a)
+        if elem.part_of:
+            body.append("partOf " + elem.part_of)
+    elif isinstance(elem, Actor):
+        head += " : " + elem.actor_type
+        if elem.is_a:
+            body.append("isA " + elem.is_a)
+    elif isinstance(elem, UseCase):
+        head += " : " + elem.uc_type
+        if elem.primary_actor:
+            body.append("primaryActor " + elem.primary_actor)
+        if elem.data_entity:
+            body.append("dataEntity " + elem.data_entity)
+        if elem.actions:
+            body.append("actions " + ", ".join(elem.actions))
+        if elem.extension_points:
+            body.append("extensionPoints " + ", ".join(elem.extension_points))
+        if elem.extends_target:
+            body.append(f"extends {elem.extends_target} onExtensionPoint {elem.extends_point}")
+        if elem.precondition is not None:
+            body.append("precondition " + quote(elem.precondition))
+    elif isinstance(elem, Term):
+        head += " : " + elem.pos_category
+        if elem.synonyms:
+            body.append("synonyms " + ", ".join(quote(s) for s in elem.synonyms))
+    elif isinstance(elem, LinguisticRuleDecl):
+        head += " : Syntax"
+        body.append(f"property {elem.target_kind}.{elem.fragment}")
+        if elem.pattern is not None:
+            body.append("pattern " + oracle_print_pattern(elem.pattern))
+        body.append("severity " + elem.severity)
+    elif isinstance(elem, LinguisticLanguageDecl):
+        head += " : " + elem.language
+    elif isinstance(elem, Stakeholder):
+        head += " : " + elem.stakeholder_type
+        if elem.stakeholder_subtype:
+            head += "." + elem.stakeholder_subtype
+    elif isinstance(elem, FunctionalRequirement):
+        head += " : " + elem.fr_type
+
+    if elem.description is not None:
+        body.append("description " + quote(elem.description))
+
+    if not body:
+        return head
+    return head + " [\n" + "\n".join("  " + line for line in body) + "\n]"
+
+
+def oracle_print_model(model) -> str:
+    chunks = [print_include(inc) for inc in model.includes]
+    chunks += [oracle_print_element(e) for e in model.elements]
+    if not chunks:
+        return ""
+    return "\n\n".join(chunks) + "\n"
+
+
+def _common(elem) -> dict:
+    out = {"id": elem.id, "name": elem.name, "nameAlias": elem.name_alias}
+    if elem.description is not None:
+        out["description"] = elem.description
+    return out
+
+
+def _ref(rm: ResolvedModel, elem, field: str, ref_id):
+    if ref_id is None:
+        return None
+    target = rm.binding(elem, field)
+    if target is None:
+        return {"id": ref_id}
+    return {"id": target.id, "name": target.name_alias}
+
+
+def oracle_build_json_doc(rm: ResolvedModel) -> dict:
+    elements = {
+        "dataEntities": [],
+        "actors": [],
+        "useCases": [],
+        "terms": [],
+        "stakeholders": [],
+        "functionalRequirements": [],
+        "linguisticRules": [],
+    }
+    for elem in rm.effective_elements:
+        if isinstance(elem, DataEntity):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.entity_type}
+            entry["attributes"] = [
+                {
+                    "id": a.id,
+                    "name": a.name,
+                    "dataType": a.data_type,
+                    "constraints": list(a.constraints),
+                    **({"defaultValue": a.default_value} if a.default_value is not None else {}),
+                }
+                for a in elem.attributes
+            ]
+            if elem.is_a:
+                entry["isA"] = elem.is_a
+            if elem.part_of:
+                entry["partOf"] = elem.part_of
+            elements["dataEntities"].append(entry)
+        elif isinstance(elem, Actor):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.actor_type}
+            if elem.is_a:
+                entry["isA"] = elem.is_a
+            elements["actors"].append(entry)
+        elif isinstance(elem, UseCase):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.uc_type}
+            if elem.primary_actor:
+                entry["primaryActor"] = _ref(rm, elem, "primary_actor", elem.primary_actor)
+            if elem.data_entity:
+                entry["dataEntity"] = _ref(rm, elem, "data_entity", elem.data_entity)
+            entry["actions"] = list(elem.actions)
+            entry["extensionPoints"] = list(elem.extension_points)
+            if elem.extends_target:
+                entry["extends"] = {
+                    "useCase": elem.extends_target,
+                    "extensionPoint": elem.extends_point,
+                }
+            if elem.precondition is not None:
+                entry["precondition"] = elem.precondition
+            elements["useCases"].append(entry)
+        elif isinstance(elem, Term):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.pos_category}
+            entry["synonyms"] = list(elem.synonyms)
+            elements["terms"].append(entry)
+        elif isinstance(elem, Stakeholder):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.stakeholder_type}
+            if elem.stakeholder_subtype:
+                entry["type"]["subtype"] = elem.stakeholder_subtype
+            elements["stakeholders"].append(entry)
+        elif isinstance(elem, FunctionalRequirement):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.fr_type}
+            elements["functionalRequirements"].append(entry)
+        elif isinstance(elem, LinguisticRuleDecl):
+            entry = _common(elem)
+            entry["type"] = {"type": elem.rule_kind}
+            entry["property"] = {"targetKind": elem.target_kind, "fragment": elem.fragment}
+            if elem.pattern is not None:
+                entry["pattern"] = oracle_print_pattern(elem.pattern)
+            entry["severity"] = elem.severity
+            elements["linguisticRules"].append(entry)
+        elif isinstance(elem, LinguisticLanguageDecl):
+            pass  # surfaced as the top-level language field
+
+    systems = {}
+    if rm.system_id is not None:
+        systems[rm.system_id] = {"elements": len(rm.effective_elements)}
+    return {"language": rm.model.language, "systems": systems, "elements": elements}
+
+def oracle_text_fields(rm: ResolvedModel, elem) -> list[tuple[str, str]]:
+    fields: list[tuple[str, str]] = []
+    if isinstance(elem, DataEntity):
+        fields.append(("type", elem.entity_type))
+        if elem.attributes:
+            fields.append(
+                ("attributes", ", ".join(f"{a.name} ({a.data_type})" for a in elem.attributes))
+            )
+        if elem.is_a:
+            fields.append(("isA", elem.is_a))
+        if elem.part_of:
+            fields.append(("partOf", elem.part_of))
+    elif isinstance(elem, Actor):
+        fields.append(("type", elem.actor_type))
+        if elem.is_a:
+            fields.append(("isA", elem.is_a))
+    elif isinstance(elem, UseCase):
+        fields.append(("type", elem.uc_type))
+        if elem.primary_actor:
+            target = rm.binding(elem, "primary_actor")
+            fields.append(("primaryActor", target.name_alias if target else elem.primary_actor))
+        if elem.data_entity:
+            target = rm.binding(elem, "data_entity")
+            fields.append(("dataEntity", target.name_alias if target else elem.data_entity))
+        if elem.actions:
+            fields.append(("actions", ", ".join(elem.actions)))
+        if elem.extension_points:
+            fields.append(("extensionPoints", ", ".join(elem.extension_points)))
+        if elem.extends_target:
+            fields.append(("extends", f"{elem.extends_target} on {elem.extends_point}"))
+        if elem.precondition is not None:
+            fields.append(("precondition", elem.precondition))
+    elif isinstance(elem, Term):
+        fields.append(("type", elem.pos_category))
+        if elem.synonyms:
+            fields.append(("synonyms", ", ".join(elem.synonyms)))
+    elif isinstance(elem, Stakeholder):
+        t = elem.stakeholder_type
+        if elem.stakeholder_subtype:
+            t += "." + elem.stakeholder_subtype
+        fields.append(("type", t))
+    elif isinstance(elem, FunctionalRequirement):
+        fields.append(("type", elem.fr_type))
+    elif isinstance(elem, LinguisticRuleDecl):
+        fields.append(("type", elem.rule_kind))
+        fields.append(("property", f"{elem.target_kind}.{elem.fragment}"))
+        if elem.pattern is not None:
+            fields.append(("pattern", oracle_print_pattern(elem.pattern)))
+        fields.append(("severity", elem.severity))
+    elif isinstance(elem, LinguisticLanguageDecl):
+        fields.append(("language", elem.language))
+    if elem.description is not None:
+        fields.append(("description", elem.description))
+    return fields
+
+def oracle_resolve(model: Model, ws: Workspace) -> ResolvedModel:
+    """Realize includes and bind every internal reference."""
+    system_id = ws.system_of(model)
+    diags: list = []
+    included: list = []
+    imported_pools: list[list] = []
+    visiting = (system_id,) if system_id else ()
+
+    for inc in model.includes:
+        if inc.mode == "Import":
+            if inc.from_system not in ws:
+                diags.append(
+                    Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
+                )
+                continue
+            imported_pools.append(
+                _included_elements(ws, inc.from_system, 1, visiting, diags, inc.span)
+            )
+            continue
+        pulled = _resolve_include(ws, inc, 1, visiting, diags)
+        if pulled:
+            included.extend(pulled)
+
+    # Includes conventionally head a document, so pulled elements precede
+    # the document's own; inlining an include then preserves this order.
+    effective = included + list(model.elements)
+
+    rm = ResolvedModel(model, system_id, effective, diags)
+    # The document's own effective list wins, then imported pools in
+    # include order, each by its first element with that (kind, id).
+    index = rm.index()
+    for pool in imported_pools:
+        for e in pool:
+            index.setdefault((e.kind, e.id), e)
+
+    def bind(elem: Element, ref_field: str, kind: str, ref_id: Optional[str], span):
+        if ref_id is None:
+            return
+        target = index.get((kind, ref_id))
+        if target is None:
+            diags.append(
+                Diagnostic(
+                    "Error",
+                    "RSL-R001",
+                    f"Unresolved reference: no {kind} with id '{ref_id}'",
+                    span or elem.span,
+                )
+            )
+            return
+        rm.bindings[(id(elem), ref_field)] = target
+
+    for elem in effective:
+        if isinstance(elem, Actor):
+            bind(elem, "is_a", "Actor", elem.is_a, elem.is_a_span)
+        elif isinstance(elem, DataEntity):
+            bind(elem, "is_a", "DataEntity", elem.is_a, elem.is_a_span)
+            bind(elem, "part_of", "DataEntity", elem.part_of, elem.part_of_span)
+        elif isinstance(elem, UseCase):
+            bind(elem, "primary_actor", "Actor", elem.primary_actor, elem.primary_actor_span)
+            bind(elem, "data_entity", "DataEntity", elem.data_entity, elem.data_entity_span)
+            if elem.extends_target is not None:
+                target = index.get(("UseCase", elem.extends_target))
+                if target is None:
+                    diags.append(
+                        Diagnostic(
+                            "Error",
+                            "RSL-R001",
+                            f"Unresolved reference: no UseCase with id '{elem.extends_target}'",
+                            elem.extends_span or elem.span,
+                        )
+                    )
+                else:
+                    rm.bindings[(id(elem), "extends_target")] = target
+                    if elem.extends_point not in target.extension_points:
+                        diags.append(
+                            Diagnostic(
+                                "Error",
+                                "RSL-R001",
+                                f"Use case '{elem.extends_target}' declares no extension point '{elem.extends_point}'",
+                                elem.extends_span or elem.span,
+                            )
+                        )
+    return rm
+
+
+def oracle_render_part(part, parenthesize: bool = True) -> str:
+    if isinstance(part, PosPart):
+        return f"({part.category})" if parenthesize else part.category
+    if isinstance(part, LitPart):
+        return f'"{part.text}"'
+    if isinstance(part, FragmentRefPart):
+        inner = f"{part.element_kind}.{part.fragment}"
+        return f"({inner})" if parenthesize else inner
+    if isinstance(part, AltPart):
+        inner = " | ".join(oracle_render_part(o, parenthesize=False) for o in part.options)
+        return f"({inner})"
+    raise TypeError(f"not a pattern part: {part!r}")
+
+
+def oracle_render_pattern(pattern: PatternExpr) -> str:
+    """Human-readable pattern with each non-literal part parenthesized."""
+    return " + ".join(oracle_render_part(p) for p in pattern.parts)

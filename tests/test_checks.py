@@ -150,6 +150,16 @@ class TestHierarchyCycles:
         _, diags = check_source(src)
         assert len(by_code(diags, "RSL-V003")) == 2
 
+    def test_extends_is_not_a_hierarchy(self):
+        # extends references another use case but forms no hierarchy: a loop is no V003.
+        src = (
+            "UseCase uc_1 : Other [extensionPoints xp_1 extends uc_2 onExtensionPoint xp_2]\n"
+            "UseCase uc_2 : Other [extensionPoints xp_2 extends uc_1 onExtensionPoint xp_1]\n"
+        )
+        _, diags = check_source(src)
+        assert by_code(diags, "RSL-R001") == []
+        assert by_code(diags, "RSL-V003") == []
+
 
 def random_graph(rng, max_nodes=12, density=0.5):
     n = rng.randint(1, max_nodes)

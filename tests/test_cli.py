@@ -272,6 +272,21 @@ class TestGen:
         assert "template error" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "template",
+        ["{" + "(" * 2000 + "x" + ")" * 2000 + "}", "{#a}" * 1500 + "x" + "{/a}" * 1500],
+        ids=["expression", "sections"],
+    )
+    def test_deeply_nested_template_is_a_template_error(self, template, tmp_path, capsys):
+        tpl = tmp_path / "deep.tpl"
+        tpl.write_text(template, encoding="utf-8")
+        out_path = tmp_path / "x"
+        argv = ["gen", "template", str(FIXTURES / "billing_clean.rsl"), "--template", str(tpl), "-o", str(out_path)]
+        code, _, err = run(argv + ["--lenient"], capsys)
+        assert code == 1
+        assert err.startswith("template error: ") and "nested deeper than" in err
+        assert not out_path.exists()
+
     def test_lenient_template_succeeds(self, tmp_path, capsys):
         out_path = tmp_path / "x"
         code, _, _ = run(

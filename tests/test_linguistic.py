@@ -3,6 +3,7 @@
 import rslkit.matching
 from conftest import by_code, check_fixture, check_source
 from rslkit.model import apply_edits
+from rslkit.printer import print_pattern
 
 UC_RULE = (
     'LinguisticRule LR_1 "Use Case name" : Syntax [\n'
@@ -180,3 +181,20 @@ def test_name_normalizations_grow_linearly_with_the_spec(monkeypatch):
 
     small, large = count(40), count(80)
     assert small > 0 and large / small <= 2.2
+
+
+def test_message_shows_pattern_literals_unescaped():
+    # The source escapes the quote and the backslash; the message shows the
+    # literal as it reads, while the printer writes it back escaped.
+    source = (
+        'LinguisticRule LR "Q" : Syntax [\n'
+        "  property FunctionalRequirement.description\n"
+        '  pattern "say \\"hi\\"" + "a\\\\b" + (Verb | "x\\"y")\n'
+        "  severity Error\n"
+        "]\n"
+        'FunctionalRequirement fr_1 "F" : Functional [description "Nothing matches here"]\n'
+    )
+    rm, diags = check_source(source)
+    (d,) = by_code(diags, "RSL-L001")
+    assert d.message.splitlines()[0] == """This text must follow the pattern '"say "hi"" + "a\\b" + (Verb | "x"y")'"""
+    assert print_pattern(rm.model.elements[0].pattern) == r'"say \"hi\"" + "a\\b" + (Verb | "x\"y")'

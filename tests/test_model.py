@@ -13,8 +13,8 @@ from rslkit.model import (
     SourceSpan,
     TextEdit,
     apply_edits,
-    render_pattern,
 )
+from rslkit.printer import render_pattern
 
 
 def span(offset, length, file="f"):

@@ -3,6 +3,7 @@
 import pytest
 
 from rslkit.template import (
+    MAX_NESTING_DEPTH,
     ExpressionTypeError,
     NULL,
     TemplateSyntaxError,
@@ -52,6 +53,39 @@ class TestParsing:
         with pytest.raises(TemplateSyntaxError) as exc:
             parse_template("abc{def")
         assert exc.value.position == 3
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        # Both once overflowed the interpreter stack (RecursionError).
+        with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
+            parse_template("{" + "(" * 2000 + "x" + ")" * 2000 + "}")
+        with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
+            render(parse_template("{#a}" * 1500 + "x" + "{/a}" * 1500), {"a": [{"a": 1}], "x": 1}, strict=False)
+
+    def test_sections_nest_up_to_the_bound(self):
+        def nested(n):
+            return "{#a}" * n + "{x}" + "{/a}" * n
+
+        assert run(nested(MAX_NESTING_DEPTH), {"a": [{"a": 1}], "x": 1}, strict=False) == "1"
+        with pytest.raises(TemplateSyntaxError):
+            parse_template(nested(MAX_NESTING_DEPTH + 1))
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda n: "(" * n + "x" + ")" * n,
+            lambda n: "!" * n + "x",
+            lambda n: "1 ? " * n + "x" + " : 0" * n,
+            lambda n: "x" + " + x" * n,
+            lambda n: "a" + ".a" * n,
+            lambda n: "a" + "[0]" * n,
+        ],
+        ids=["parentheses", "prefix operators", "conditionals", "operator chain", "member chain", "index chain"],
+    )
+    def test_expressions_nest_up_to_the_bound(self, nested):
+        evaluate(parse_expression(nested(MAX_NESTING_DEPTH - 1)), [{"x": 1, "a": {"a": 1}}])
+        for n in (MAX_NESTING_DEPTH, 3000):
+            with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
+                parse_expression(nested(n))
 
 
 class TestTags:
