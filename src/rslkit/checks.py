@@ -8,7 +8,6 @@ into one deterministically ordered list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .lexicon import Lexicon, analyze, builtin_lexicon
@@ -17,6 +16,7 @@ from .model import (
     Diagnostic,
     LinguisticRuleDecl,
     QuickFix,
+    Record,
     SourceSpan,
     Term,
     TextEdit,
@@ -63,10 +63,9 @@ def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
 
 # --- glossary ----------------------------------------------------------------
 
-@dataclass
-class GlossaryIndex:
-    entries: dict = field(default_factory=dict)  # lower synonym -> (main word, Term)
-    diagnostics: list = field(default_factory=list)
+class GlossaryIndex(Record):
+    entries: dict = {}  # lower synonym -> (main word, Term)
+    diagnostics: list = []
 
 
 def build_glossary(rm: ResolvedModel) -> GlossaryIndex:

@@ -7,19 +7,15 @@ refused), 2 usage or I/O failure.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 from .checks import run_all_checks
 from .docgen import ensure_valid, generate_json, generate_text, render_template
 from .lexicon import load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
-from .template import ExpressionTypeError, TemplateSyntaxError, UnresolvedTags, parse_template
 from .workspace import Workspace, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
@@ -177,6 +173,13 @@ def exit_code(diags: list[Diagnostic]) -> int:
     return 1 if any(d.severity == "Error" for d in diags) else 0
 
 
+def parse_template(text: str):
+    # The template engine loads with the first template: only `gen template` uses it.
+    from .template import parse_template
+
+    return parse_template(text)
+
+
 # --- commands ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
@@ -234,6 +237,9 @@ def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
 
 def write_atomically(path: str, text: str) -> None:
     """Write through a temporary file in the same directory, then rename it over `path`."""
+    import shutil
+    import tempfile
+
     target = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
@@ -291,6 +297,8 @@ def cmd_fix(args) -> int:
                 continue
             write_atomically(path, new)
     else:
+        import difflib
+
         for path, (old, new) in sorted(fixed.items(), key=lambda item: str(Path(item[0]))):
             diff = difflib.unified_diff(
                 old.splitlines(keepends=True),
@@ -336,6 +344,8 @@ def cmd_gen(args) -> int:
         if not args.template:
             raise UsageError("gen template needs --template")
         tpl_text = read_source(args.template, "template")
+        from .template import ExpressionTypeError, TemplateSyntaxError, UnresolvedTags
+
         try:
             output = render_template(parse_template(tpl_text), rm, strict=not args.lenient)
         except (TemplateSyntaxError, UnresolvedTags, ExpressionTypeError) as exc:

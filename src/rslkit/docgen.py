@@ -7,17 +7,17 @@ diagnostic refuses generation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .model import KIND_TABLE, Diagnostic
+from .model import KIND_TABLE, Diagnostic, Record
 from .printer import print_pattern
-from .template import TemplateDocument, parse_template, render
 from .workspace import ResolvedModel
 
+if TYPE_CHECKING:
+    from .template import TemplateDocument
 
-@dataclass
-class Refusal:
+
+class Refusal(Record):
     error_count: int
     first_messages: list[str]
 
@@ -152,7 +152,16 @@ def template_context(rm: ResolvedModel) -> dict:
     return root
 
 
+def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
+    # The template engine loads with the first template: only `gen template` uses it.
+    from .template import render
+
+    return render(tpl, root, strict=strict)
+
+
 def render_template(tpl: TemplateDocument | str, rm: ResolvedModel, strict: bool = True) -> str:
     if isinstance(tpl, str):
+        from .template import parse_template
+
         tpl = parse_template(tpl)
     return render(tpl, template_context(rm), strict=strict)

@@ -9,10 +9,11 @@ heuristic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Optional
+
+from .model import Record
 
 UPOS_TAGS = {"VERB", "NOUN", "PROPN", "ADJ", "ADV", "DET", "ADP", "PRON", "CCONJ", "NUM"}
 
@@ -29,8 +30,7 @@ class LexiconFormatError(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class SuffixRule:
+class SuffixRule(Record, frozen=True):
     suffix: str
     upos: str
     strip: str
@@ -47,8 +47,7 @@ class SuffixRule:
         return self.upos, lemma + self.append
 
 
-@dataclass
-class Token:
+class Token(Record):
     surface: str
     lemma: str
     tags: frozenset[str]
@@ -60,11 +59,10 @@ class Token:
         return self.surface[:1].isupper()
 
 
-@dataclass
-class Lexicon:
+class Lexicon(Record):
     language: str = "English"
-    entries: dict = field(default_factory=dict)  # lower surface -> set[(upos, lemma)]
-    suffix_rules: list = field(default_factory=list)
+    entries: dict = {}  # lower surface -> set[(upos, lemma)]
+    suffix_rules: list = []
 
     def add(self, surface: str, lemma: str, upos: str):
         self.entries.setdefault(surface.lower(), set()).add((upos, lemma.lower()))

@@ -20,11 +20,10 @@ then compares O(parts x tokens x longest name) token windows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .lexicon import WORD_RE, Token
-from .model import AltPart, FragmentRefPart, LitPart, PosPart, PatternExpr, POS_CATEGORIES
+from .model import AltPart, FragmentRefPart, LitPart, PosPart, PatternExpr, POS_CATEGORIES, Record
 
 
 def normalize(text: str) -> str:
@@ -32,8 +31,7 @@ def normalize(text: str) -> str:
     return " ".join(WORD_RE.findall(text.lower()))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Record, frozen=True):
     matched: bool
     prefix_len: int = 0  # tokens consumed on success
     fail_part_index: int = 0

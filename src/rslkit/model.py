@@ -2,15 +2,110 @@
 
 Everything here is immutable-by-convention; spans never participate in
 structural equality so that round-trip tests can compare reparsed models.
+
+Every value class in rslkit is a `Record`: a slotted class whose fields
+are its annotations, in order, base class fields first, with the class
+attribute of the same name as the default. A `Field` default keeps its
+field out of `==` or out of `repr()`, and an empty list or dict default
+is built anew for each instance. Each class gets `__init__` (positional
+or keyword arguments, plain assignment), `__eq__` (same class only, over
+the compared fields) and, with `frozen=True`, `__hash__` over those
+fields, from one `exec`; the other records are unhashable. `frozen` only
+adds the hash: nothing stops an assignment. `_fields` lists the field
+names.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+class Field:
+    """A field default that `==` (compare=False) or `repr()` (repr=False) leaves out."""
+
+    __slots__ = ("default", "compare", "repr")
+
+    def __init__(self, default=None, *, compare: bool = True, repr: bool = True):
+        self.default = default
+        self.compare = compare
+        self.repr = repr
+
+
+SPAN = Field(compare=False, repr=False)  # a source span: None by default, outside == and repr()
+
+_REQUIRED = object()  # no default: the argument is required
+_FRESH = object()  # stands in for an empty list or dict default until __init__ builds a new one
+
+
+class _RecordType(type):
+    """Gives each Record class its slots, field tuple and generated methods."""
+
+    def __new__(mcs, name, bases, ns, frozen: bool = False):
+        fields, defaults, compared, shown = [], {}, [], []
+        for base in bases:
+            if isinstance(base, _RecordType):
+                fields += base._fields
+                defaults.update(base._defaults)
+                compared += base._compared
+                shown += base._shown
+        # Under `from __future__ import annotations` (every rslkit module) the
+        # class body leaves its annotations in the namespace, as strings.
+        own = tuple(ns.get("__annotations__", ()))
+        for f in own:
+            default, compare, show = ns.pop(f, _REQUIRED), True, True
+            if isinstance(default, Field):
+                default, compare, show = default.default, default.compare, default.repr
+            if default is not _REQUIRED:
+                defaults[f] = default
+            fields.append(f)
+            if compare:
+                compared.append(f)
+            if show:
+                shown.append(f)
+        ns["__slots__"] = own
+        ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared), _shown=tuple(shown))
+        if bases:
+            ns.update(_methods(fields, defaults, compared, frozen))
+        return super().__new__(mcs, name, bases, ns)
+
+
+def _methods(fields, defaults, compared, frozen: bool) -> dict:
+    """`__init__`, `__eq__` and `__hash__` of one record class, from one exec."""
+    params, body = [], []
+    for f in fields:
+        default = defaults.get(f, _REQUIRED)
+        if default is _REQUIRED:
+            params.append(f)
+            body.append(f"self.{f} = {f}")
+        elif type(default) in (list, dict) and not default:
+            params.append(f"{f}=_FRESH")
+            body.append(f"self.{f} = {default!r} if {f} is _FRESH else {f}")
+        else:
+            params.append(f"{f}=_defaults[{f!r}]")
+            body.append(f"self.{f} = {f}")
+    mine = "(" + "".join(f"self.{f}, " for f in compared) + ")"
+    theirs = "(" + "".join(f"other.{f}, " for f in compared) + ")"
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"    {line}\n" for line in body or ["pass"])
+        + "def __eq__(self, other):\n"
+        + "    if other.__class__ is self.__class__:\n"
+        + f"        return {mine} == {theirs}\n"
+        + "    return NotImplemented\n"
+        + (f"def __hash__(self):\n    return hash({mine})\n" if frozen else "__hash__ = None\n")
+    )
+    scope = {"_defaults": defaults, "_FRESH": _FRESH}
+    exec(source, scope)
+    return {name: scope[name] for name in ("__init__", "__eq__", "__hash__")}
+
+
+class Record(metaclass=_RecordType):
+    """Base of rslkit's value classes; see the module docstring."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
 
 LANGUAGES = (
     "English",
@@ -28,8 +123,7 @@ SEVERITIES = ("Error", "Warning", "Info")
 FRAGMENTS = ("id", "name", "description")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record, frozen=True):
     """Region of a source file; lines/cols are 1-based, offset is 0-based."""
 
     file: str
@@ -63,20 +157,17 @@ class SourceSpan:
         )
 
 
-@dataclass(frozen=True)
-class TextEdit:
+class TextEdit(Record, frozen=True):
     span: SourceSpan
     new_text: str
 
 
-@dataclass(frozen=True)
-class QuickFix:
+class QuickFix(Record, frozen=True):
     title: str
     edits: tuple[TextEdit, ...]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, frozen=True):
     severity: str
     code: str
     message: str
@@ -132,57 +223,46 @@ POS_CATEGORIES = {
 }
 
 
-@dataclass(frozen=True)
-class PosPart:
+class PosPart(Record, frozen=True):
     category: str  # key of POS_CATEGORIES
 
 
-@dataclass(frozen=True)
-class LitPart:
+class LitPart(Record, frozen=True):
     text: str
 
 
-@dataclass(frozen=True)
-class FragmentRefPart:
+class FragmentRefPart(Record, frozen=True):
     element_kind: str
     fragment: str  # id | name | description
 
 
-@dataclass(frozen=True)
-class AltPart:
+class AltPart(Record, frozen=True):
     options: tuple  # of PosPart | LitPart | FragmentRefPart
 
 
-@dataclass(frozen=True)
-class PatternExpr:
+class PatternExpr(Record, frozen=True):
     parts: tuple
 
 
 # --- elements -------------------------------------------------------------
 
-def _nospan():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass
-class Attribute:
+class Attribute(Record):
     id: str
     name: str
     data_type: str
     constraints: tuple[str, ...] = ()
     default_value: Optional[str] = None
-    span: Optional[SourceSpan] = _nospan()
+    span: Optional[SourceSpan] = SPAN
 
 
-@dataclass
-class Element:
+class Element(Record):
     id: str
     name: Optional[str] = None
     description: Optional[str] = None
-    span: Optional[SourceSpan] = _nospan()
-    id_span: Optional[SourceSpan] = _nospan()
-    name_span: Optional[SourceSpan] = _nospan()
-    description_span: Optional[SourceSpan] = _nospan()
+    span: Optional[SourceSpan] = SPAN
+    id_span: Optional[SourceSpan] = SPAN
+    name_span: Optional[SourceSpan] = SPAN
+    description_span: Optional[SourceSpan] = SPAN
 
     kind = "Element"
 
@@ -215,28 +295,25 @@ class Element:
         return span
 
 
-@dataclass
 class DataEntity(Element):
     entity_type: str = "Other"
     attributes: tuple[Attribute, ...] = ()
     is_a: Optional[str] = None
     part_of: Optional[str] = None
-    is_a_span: Optional[SourceSpan] = _nospan()
-    part_of_span: Optional[SourceSpan] = _nospan()
+    is_a_span: Optional[SourceSpan] = SPAN
+    part_of_span: Optional[SourceSpan] = SPAN
 
     kind = "DataEntity"
 
 
-@dataclass
 class Actor(Element):
     actor_type: str = "User"
     is_a: Optional[str] = None
-    is_a_span: Optional[SourceSpan] = _nospan()
+    is_a_span: Optional[SourceSpan] = SPAN
 
     kind = "Actor"
 
 
-@dataclass
 class UseCase(Element):
     uc_type: str = "Other"
     primary_actor: Optional[str] = None
@@ -246,14 +323,13 @@ class UseCase(Element):
     extends_target: Optional[str] = None
     extends_point: Optional[str] = None
     precondition: Optional[str] = None
-    primary_actor_span: Optional[SourceSpan] = _nospan()
-    data_entity_span: Optional[SourceSpan] = _nospan()
-    extends_span: Optional[SourceSpan] = _nospan()
+    primary_actor_span: Optional[SourceSpan] = SPAN
+    data_entity_span: Optional[SourceSpan] = SPAN
+    extends_span: Optional[SourceSpan] = SPAN
 
     kind = "UseCase"
 
 
-@dataclass
 class Term(Element):
     pos_category: str = "Noun"
     synonyms: tuple[str, ...] = ()
@@ -261,7 +337,6 @@ class Term(Element):
     kind = "Term"
 
 
-@dataclass
 class LinguisticRuleDecl(Element):
     rule_kind: str = "Syntax"
     target_kind: str = "UseCase"
@@ -272,14 +347,12 @@ class LinguisticRuleDecl(Element):
     kind = "LinguisticRule"
 
 
-@dataclass
 class LinguisticLanguageDecl(Element):
     language: str = "English"
 
     kind = "LinguisticLanguage"
 
 
-@dataclass
 class Stakeholder(Element):
     stakeholder_type: str = "Other"
     stakeholder_subtype: Optional[str] = None
@@ -287,29 +360,26 @@ class Stakeholder(Element):
     kind = "Stakeholder"
 
 
-@dataclass
 class FunctionalRequirement(Element):
     fr_type: str = "Functional"
 
     kind = "FunctionalRequirement"
 
 
-@dataclass
-class IncludeDecl:
+class IncludeDecl(Record):
     mode: str  # Import | Include | IncludeAll
     from_system: str
     element_kind: Optional[str] = None
     element_id: Optional[str] = None
-    span: Optional[SourceSpan] = _nospan()
+    span: Optional[SourceSpan] = SPAN
 
 
-@dataclass
-class Model:
-    elements: list = field(default_factory=list)
-    includes: list = field(default_factory=list)
+class Model(Record):
+    elements: list = []
+    includes: list = []
     language_decl: Optional[LinguisticLanguageDecl] = None
-    file: str = field(default="<memory>", compare=False)
-    end_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    file: str = Field("<memory>", compare=False)
+    end_span: Optional[SourceSpan] = SPAN
 
     @property
     def language(self) -> str:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, is_dataclass
 from typing import Optional
+
+from .model import Record
 
 # Deepest section nesting and expression nesting a template may use; the
 # parser and the renderer recurse once per level.
@@ -47,20 +48,17 @@ NULL = _Null()
 
 # --- template structure -------------------------------------------------------
 
-@dataclass
-class Static:
+class Static(Record):
     text: str
 
 
-@dataclass
-class Tag:
+class Tag(Record):
     raw: str
     expr: "Expr"
     position: int
 
 
-@dataclass
-class Section:
+class Section(Record):
     raw: str
     expr: "Expr"
     inverted: bool
@@ -68,8 +66,7 @@ class Section:
     position: int
 
 
-@dataclass
-class TemplateDocument:
+class TemplateDocument(Record):
     nodes: list
 
 
@@ -122,50 +119,42 @@ def parse_template(text: str) -> TemplateDocument:
 
 # --- expressions ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record, frozen=True):
     value: object
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record, frozen=True):
     name: str
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Record, frozen=True):
     obj: object
     name: str
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Record, frozen=True):
     obj: object
     index: object
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record, frozen=True):
     op: str
     operand: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record, frozen=True):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(Record, frozen=True):
     cond: object
     then: object
     other: object
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record, frozen=True):
     func: str
     args: tuple
 
@@ -323,8 +312,8 @@ def _height(expr: Expr) -> int:
     while stack:
         node, level = stack.pop()
         deepest = max(deepest, level)
-        children = node.args if isinstance(node, Call) else [v for v in vars(node).values() if is_dataclass(v)]
-        stack += [(child, level + 1) for child in children]
+        children = node.args if isinstance(node, Call) else [getattr(node, f) for f in node._fields]
+        stack += [(child, level + 1) for child in children if isinstance(child, Record)]
     return deepest
 
 

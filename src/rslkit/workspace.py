@@ -6,7 +6,6 @@ Import only makes another system's names visible for reference binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import parser
@@ -14,9 +13,11 @@ from .model import (
     KIND_TABLE,
     Diagnostic,
     Element,
+    Field,
     IncludeDecl,
     Model,
     QuickFix,
+    Record,
     SourceSpan,
     TextEdit,
 )
@@ -28,15 +29,14 @@ _REFERENCES = {
 }
 
 
-@dataclass
-class Workspace:
+class Workspace(Record):
     """Systems by id; a registered text is parsed the first time resolution asks for it."""
 
-    sources: dict = field(default_factory=dict)  # system id -> (text, file), every registered system
-    systems: dict = field(default_factory=dict)  # system id -> Model, the systems parsed so far
-    parse_diagnostics: dict = field(default_factory=dict)  # system id -> [Diagnostic]
-    io_errors: list = field(default_factory=list)  # (system id, path, message)
-    _ids: dict = field(default_factory=dict, repr=False)  # id(Model) -> system id
+    sources: dict = {}  # system id -> (text, file), every registered system
+    systems: dict = {}  # system id -> Model, the systems parsed so far
+    parse_diagnostics: dict = {}  # system id -> [Diagnostic]
+    io_errors: list = []  # (system id, path, message)
+    _ids: dict = Field({}, repr=False)  # id(Model) -> system id
 
     def __contains__(self, system_id: str) -> bool:
         return system_id in self.sources
@@ -85,13 +85,12 @@ def add_system(ws: Workspace, system_id: str, source: str, file: str) -> Model:
     return ws.system(system_id)
 
 
-@dataclass
-class ResolvedModel:
+class ResolvedModel(Record):
     model: Model
     system_id: Optional[str]
     effective_elements: list
     diagnostics: list
-    bindings: dict = field(default_factory=dict)  # (id(element), field) -> element
+    bindings: dict = {}  # (id(element), field) -> element
 
     @property
     def file(self) -> str:

@@ -7,7 +7,6 @@ and diagnostics.
 """
 
 import json
-from dataclasses import fields
 
 from conftest import FIXTURES
 from modelgen import random_model
@@ -87,7 +86,7 @@ def spans(model):
     """Every element and attribute span; model equality leaves them out."""
     out = []
     for elem in model.elements:
-        out += [(f.name, getattr(elem, f.name)) for f in fields(elem) if f.name.endswith("span")]
+        out += [(f, getattr(elem, f)) for f in elem._fields if f.endswith("span")]
         out += [a.span for a in getattr(elem, "attributes", ())]
     return out
 

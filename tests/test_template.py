@@ -1,6 +1,8 @@
 """Template engine: parsing, expression evaluation, rendering modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslkit.template import (
     MAX_NESTING_DEPTH,
@@ -200,3 +202,43 @@ class TestStringify:
         assert truthy([1]) and truthy("x") and truthy(1)
         assert not truthy([]) and not truthy("") and not truthy(0)
         assert not truthy(NULL) and not truthy(None)
+
+
+# Pieces of the tag and expression syntax, so random text reaches deep into both parsers.
+PIECES = [
+    "{", "}", "{{", "{#a}", "{/a}", "{^a}", "{/b}", "(", ")", "[", "]", "!", "-", "+", "%", "?", ":", ".",
+    ",", "'", '"', "\\", "a", "x", "1", "2.5", " ", "upper(", "join(", "&&", "||", "==", "<=", "@index", "\n",
+]  # fmt: skip
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(PIECES), max_size=60).map("".join)))
+def test_parse_template_raises_only_syntax_errors(text):
+    try:
+        parse_template(text)
+    except TemplateSyntaxError:
+        pass
+
+
+# (prefix, suffix) pairs that each add one level to an expression, in the
+# descent, in the tree or both.
+LEVELS = [("(", ")"), ("!", ""), ("-", ""), ("1 ? ", " : 0"), ("", " + x"), ("", ".a"), ("", "[0]"), ("upper(", ")"), ("a[", "]")]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LEVELS), st.integers(1, 2 * MAX_NESTING_DEPTH)), min_size=1, max_size=4),
+    st.integers(0, 2 * MAX_NESTING_DEPTH),
+)
+def test_nesting_bound_holds_for_mixed_nesting(levels, sections):
+    prefix = "".join(p * k for (p, _), k in levels)
+    suffix = "".join(s * k for (_, s), k in reversed(levels))
+    text = "{#a}" * sections + "{" + prefix + "x" + suffix + "}" + "{/a}" * sections
+    within = sections <= MAX_NESTING_DEPTH and sum(k for _, k in levels) < MAX_NESTING_DEPTH
+    beyond = sections > MAX_NESTING_DEPTH or max(k for _, k in levels) > MAX_NESTING_DEPTH
+    try:
+        parse_template(text)
+    except TemplateSyntaxError:
+        assert not within, text
+    else:
+        assert not beyond, text
