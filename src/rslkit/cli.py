@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import run_all_checks
 from .docgen import ensure_valid, generate_json, generate_text, render_template
-from .lexicon import load_lexicon
+from .lexicon import LexiconFormatError, load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
 from .workspace import Workspace, resolve
 
@@ -99,7 +99,7 @@ def load_lexicon_overrides(args) -> dict:
         suffix_path = path + ".rules" if Path(path + ".rules").exists() else None
         try:
             overrides[lang] = load_lexicon(path, suffix_path, language=lang)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, LexiconFormatError) as exc:
             raise UsageError(f"cannot read lexicon '{path}': {exc}")
     return overrides
 

@@ -3,10 +3,14 @@
 One compiled regular expression scans the source: each match skips the
 whitespace and `//` comments before a token, then matches an identifier,
 a digit run, a string, a punctuation mark or a single other character.
-Tokens carry only their kind, text and start/end offsets plus a shared
-line-start table of the source; a token's `span` (line and column) is
-computed from that table with `bisect` only when someone asks for it, so
-the many tokens nobody reports on cost no span.
+`tokenize` returns one `Tokens` value: four parallel lists (`kinds`,
+`texts`, `starts`, `ends`) plus a shared line-start table of the source.
+A punctuation mark's kind is the mark itself (`":"`, `"["`, ...), so a
+parser tests it with one comparison. The parser reads these lists by
+index and builds no token objects; `tokens[i]`, slicing and iteration
+build an `RslToken` (kind `"punct"` for a mark) on demand, for callers
+that want one. A line and column span is computed from the line table
+with `bisect` only when someone asks for it.
 
 Identifiers start with a character for which `str.isalpha()` holds (or
 `_`) and go on over `str.isalnum()` characters (or `_`); digit runs are
@@ -28,12 +32,12 @@ from bisect import bisect_right
 from .model import SourceSpan
 
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]+|//[^\n]*)*
+    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
     (?:
         (?P<identifier>[A-Za-z_]\w*)
-      | (?P<digits>[0-9]+)(?![0-9]|[^\x00-\x7f])
-      | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<close>"?))
       | (?P<punct>[:\[\](),+|.])
+      | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<close>"?))
+      | (?P<digits>[0-9]+)(?![0-9]|[^\x00-\x7f])
       | (?P<other>.)
     )?""",
     re.VERBOSE | re.DOTALL,
@@ -72,6 +76,10 @@ class LineTable:
             end - start,
         )
 
+    def content_span(self, start: int, end: int) -> SourceSpan:
+        """Span inside the quotes of the string literal at source[start:end]."""
+        return self.span(start + 1, max(end - 1, start + 1))
+
 
 class RslToken:
     __slots__ = ("kind", "text", "start", "end", "lines")
@@ -96,41 +104,92 @@ class RslToken:
         return f"RslToken({self.kind!r}, {self.text!r}, {self.start}, {self.end})"
 
 
-def tokenize(source: str, file: str = "<memory>") -> list[RslToken]:
-    lines = LineTable(source, file)
-    tokens: list[RslToken] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
+class Tokens:
+    """The tokens of one source as parallel lists; the last token has kind "end".
+
+    `kinds[i]` is "identifier", "string", "error", "end" or, for a
+    punctuation mark, the mark itself; `texts[i]` is the surface text (for
+    a string, its decoded value); `starts[i]`/`ends[i]` are offsets into
+    the source. As a sequence (`len`, indexing, slicing, iteration) it
+    holds `RslToken`s, each built when asked for.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "ends", "lines")
+
+    def __init__(self, kinds: list, texts: list, starts: list, ends: list, lines: LineTable):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.kinds)))]
+        kind = self.kinds[index]
+        return RslToken(
+            kind if len(kind) > 1 else "punct", self.texts[index], self.starts[index], self.ends[index], self.lines
+        )
+
+
+def tokenize(source: str, file: str = "<memory>") -> Tokens:
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    kind_append, text_append, start_append, end_append = kinds.append, texts.append, starts.append, ends.append
+    scan = _TOKEN_RE.finditer
     pos, n = 0, len(source)
     while True:
-        m = match(source, pos)
-        group = m.lastgroup
-        if group is None:  # only whitespace and comments were left
-            break
-        start, pos = m.start(group), m.end()
-        if group == "identifier" or group == "digits":
-            append(RslToken("identifier", m.group(group), start, pos, lines))
-        elif group == "punct":
-            append(RslToken("punct", m.group(group), start, pos, lines))
-        elif group == "string":
-            body = m.group("body")
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(r"\1", body)
-            append(RslToken("string" if m.group("close") else "error", body, start, pos, lines))
-        else:
-            ch = source[start]
-            if ch.isalpha():
-                pos = _WORD_TAIL_RE.match(source, pos).end()
-                kind = "identifier"
-            elif ch.isdigit():
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-                kind = "identifier"
+        for m in scan(source, pos):
+            group = m.lastgroup
+            if group == "identifier":
+                kind_append("identifier")
+                text_append(m.group(group))
+            elif group == "punct":
+                text = m.group(group)
+                kind_append(text)
+                text_append(text)
+            elif group == "string":
+                body = m.group("body")
+                if "\\" in body:
+                    body = _ESCAPE_RE.sub(r"\1", body)
+                kind_append("string" if m.group("close") else "error")
+                text_append(body)
+            elif group is None:  # only whitespace and comments were left
+                continue
             else:
-                kind = "error"
-            append(RslToken(kind, source[start:pos], start, pos, lines))
-    append(RslToken("end", "", n, n, lines))
-    return tokens
+                start, pos = m.span(group)
+                kind = "identifier"
+                if group == "other":
+                    ch = source[start]
+                    if ch.isalpha():
+                        pos = _WORD_TAIL_RE.match(source, pos).end()
+                    elif ch.isdigit():
+                        while pos < n and source[pos].isdigit():
+                            pos += 1
+                    else:
+                        kind = "error"
+                kind_append(kind)
+                text_append(source[start:pos])
+                start_append(start)
+                end_append(pos)
+                if pos != m.end():
+                    break  # a non-ASCII word or digit run: scan again after it
+                continue
+            start, end = m.span(group)
+            start_append(start)
+            end_append(end)
+        else:
+            break
+    kinds.append("end")
+    texts.append("")
+    starts.append(n)
+    ends.append(n)
+    return Tokens(kinds, texts, starts, ends, LineTable(source, file))
 
 
 def content_span(token: RslToken) -> SourceSpan:
@@ -139,4 +198,4 @@ def content_span(token: RslToken) -> SourceSpan:
     Only exact when the literal carries no escapes; callers needing edit
     precision should check that first.
     """
-    return token.lines.span(token.start + 1, max(token.end - 1, token.start + 1))
+    return token.lines.content_span(token.start, token.end)

@@ -8,9 +8,9 @@ heuristic.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import cache
-from importlib import resources
 from typing import Optional
 
 from .model import Record
@@ -18,6 +18,9 @@ from .model import Record
 UPOS_TAGS = {"VERB", "NOUN", "PROPN", "ADJ", "ADV", "DET", "ADP", "PRON", "CCONJ", "NUM"}
 
 BUILTIN_LEXICONS = {"English": "en", "Portuguese": "pt"}
+# The shipped lexicons, read by path: `importlib.resources` would import
+# `inspect` (and `ast`, `dis`, `tokenize`) in every command on Python 3.12+.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 WORD_RE = re.compile(r"\w+", re.UNICODE)
 SENTENCE_SPLIT_RE = re.compile(r"[.!?]")
@@ -121,11 +124,8 @@ def builtin_lexicon(language: str) -> Optional[Lexicon]:
     code = BUILTIN_LEXICONS.get(language)
     if code is None:
         return None
-    pkg = resources.files("rslkit.data")
-    lex = Lexicon(language=language)
-    _parse_lexicon_lines(lex, (pkg / f"{code}.tsv").read_text(encoding="utf-8"), f"{code}.tsv")
-    _parse_suffix_lines(lex, (pkg / f"{code}.rules").read_text(encoding="utf-8"), f"{code}.rules")
-    return lex
+    base = os.path.join(DATA_DIR, code)
+    return load_lexicon(base + ".tsv", base + ".rules", language=language)
 
 
 def split_sentences(text: str) -> list[tuple[int, str]]:

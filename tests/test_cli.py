@@ -5,10 +5,14 @@ import os
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from rslkit import cli
 from rslkit.cli import main
+from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS
+from test_lexer import PIECES
 
 
 def copy_fixture(tmp_path, name):
@@ -343,5 +347,62 @@ class TestUndecodableInput:
         self.assert_usage_error(argv, capsys, "lexicon")
 
 
+
+class TestMalformedLexicon:
+    """A `--lexicon` file, or its `.rules` companion, that breaks the format is a usage error (exit 2)."""
+
+    COMMANDS = [["check"], ["fix", "--dry-run"], ["gen", "json"]]
+
+    def run_with(self, argv, lexicon, tmp_path, capsys):
+        argv = argv + [str(FIXTURES / "billing_clean.rsl"), "--lexicon", f"English={lexicon}"]
+        code, _, err = run(argv + (["-o", str(tmp_path / "x")] if argv[0] == "gen" else []), capsys)
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+        return err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["check", "fix", "gen"])
+    def test_lexicon_line(self, argv, tmp_path, capsys):
+        lexicon = tmp_path / "en.tsv"
+        lexicon.write_text("invoice\tinvoice\tNOUN\ncafe\tcafe\tNOUNISH\n", encoding="utf-8")
+        err = self.run_with(argv, lexicon, tmp_path, capsys)
+        assert err == f"error: cannot read lexicon '{lexicon}': {lexicon}:2: unknown UPOS tag 'NOUNISH'\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["check", "fix", "gen"])
+    def test_rules_line(self, argv, tmp_path, capsys):
+        lexicon = tmp_path / "en.tsv"
+        lexicon.write_text("invoice\tinvoice\tNOUN\n", encoding="utf-8")
+        (tmp_path / "en.tsv.rules").write_text("# suffixes\ning\tVERB\t:\n", encoding="utf-8")
+        err = self.run_with(argv, lexicon, tmp_path, capsys)
+        assert err == (
+            f"error: cannot read lexicon '{lexicon}': {lexicon}.rules:2: expected -suffix<TAB>UPOS<TAB>strip:append\n"
+        )
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# RSL-like text: every character class of the lexer plus every keyword.
+RSL_PIECES = PIECES + [k + " " for k in sorted(TOP_KEYWORDS | BODY_KEYWORDS)]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # every example rewrites the same files
+)
+@given(st.lists(st.sampled_from(RSL_PIECES), max_size=60).map("".join))
+def test_every_command_is_total_on_rsl_like_text(tmp_path, capsys, source):
+    spec = tmp_path / "spec.rsl"
+    spec.write_text(source, encoding="utf-8")
+    for argv in (
+        ["check", str(spec)],
+        ["check", "--format", "json", str(spec)],
+        ["gen", "json", str(spec), "-o", str(tmp_path / "out.json")],
+        ["fix", "--dry-run", "--create-missing", str(spec)],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code in (0, 1, 2), (argv, source)
+        assert "Traceback" not in err

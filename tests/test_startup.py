@@ -16,12 +16,25 @@ SRC = str(Path(rslkit.__file__).resolve().parents[1])
 # Loaded only by the commands that use them: records replace dataclasses,
 # only `gen template` needs the template engine, only `fix --dry-run` a diff.
 NOT_AT_STARTUP = ("dataclasses", "rslkit.template", "difflib")
+# Loaded by no command: the shipped lexicons are read by path, because on
+# Python 3.12+ `importlib.resources` imports `inspect` (and `ast`, `dis`, ...).
+NEVER_LOADED = ("importlib.resources", "inspect")
 
 
 def test_cli_import_leaves_out_what_only_some_commands_use():
     code = f"import sys, rslkit.cli; print(' '.join(m for m in {NOT_AT_STARTUP!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
+def test_cli_import_leaves_out_importlib_resources_and_inspect():
+    # -S as well as -I: `site` can load importlib.resources itself, through a .pth file.
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import rslkit.cli; "
+        f"print(' '.join(m for m in {NEVER_LOADED!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
 
 
