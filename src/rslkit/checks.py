@@ -102,8 +102,7 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
     return idx
 
 
-def check_glossary(rm: ResolvedModel, lex: Lexicon, glossary: Optional[GlossaryIndex] = None) -> list[Diagnostic]:
-    glossary = glossary or build_glossary(rm)
+def check_glossary(rm: ResolvedModel, lex: Lexicon, glossary: GlossaryIndex) -> list[Diagnostic]:
     diags = []
     for elem in rm.effective_elements:
         for fragment in ("name", "description"):
@@ -281,7 +280,7 @@ def run_all_checks(
         for inc in rm.model.includes:
             if inc.mode == "Import":
                 continue
-            info = inline_include_fix(inc, ws, rm.system_id)
+            info = inline_include_fix(inc, rm)
             if info is not None:
                 diags.append(info)
 

@@ -16,7 +16,7 @@ from .checks import run_all_checks
 from .docgen import ensure_valid, generate_json, generate_text, render_template
 from .lexicon import LexiconFormatError, load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
-from .workspace import Workspace, resolve
+from .workspace import Workspace, load_workspace, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
 
@@ -61,7 +61,7 @@ def read_manifest(path: str) -> dict:
 def build_workspace(paths: list[str], args):
     """Returns (workspace, [(systemId, path)] target documents).
 
-    Every file is read here, so an unreadable one is a usage error; a
+    Every file is read up front, so an unreadable one is a usage error; a
     system is parsed only when resolution first reaches it.
     """
     mapping = {}
@@ -70,26 +70,38 @@ def build_workspace(paths: list[str], args):
     mapping.update(parse_mapping(getattr(args, "system", None), "--system"))
     name_of_file = {os.path.abspath(p): name for name, p in mapping.items()}
 
-    ws = Workspace()
     targets = []
-    chosen: dict[str, str] = {}  # system id -> the path registered under it
+    chosen: dict[str, str] = {}  # system id -> the path registered under it, as given
+    files = []  # (system id, file name its diagnostics carry), in reading order
+    clash = None
     for path in paths:
         where = os.path.abspath(path)
         name = name_of_file.get(where, Path(path).stem)
         other = chosen.get(name, mapping.get(name))
         if other is not None and os.path.abspath(other) != where:
-            raise UsageError(
+            clash = UsageError(
                 f"system id '{name}' names two files, '{other}' and '{path}'; "
                 "give one of them its own id with --system NAME=PATH"
             )
+            break
         if name in chosen:
             continue
         chosen[name] = path
-        ws.register(name, read_source(path), str(path))
+        files.append((name, str(path)))
         targets.append((name, str(Path(path))))
-    for name, path in mapping.items():
-        if name not in chosen:
-            ws.register(name, read_source(path), str(Path(path)))
+    else:
+        for name, path in mapping.items():
+            if name not in chosen:
+                chosen[name] = path
+                files.append((name, str(Path(path))))
+    # The files before a clashing target are read first, so one of them
+    # that cannot be read is the error reported.
+    ws = load_workspace(files)
+    if ws.io_errors:
+        name, _file, message = ws.io_errors[0]
+        raise UsageError(f"cannot read '{chosen[name]}': {message}")
+    if clash is not None:
+        raise clash
     return ws, targets
 
 

@@ -74,7 +74,7 @@ def build_json_doc(rm: ResolvedModel) -> dict:
                 ]
             elif shape == "ids" or shape == "strings":
                 entry[keyword] = list(value)
-            elif value is None or not value and shape != "string":
+            elif not value and shape != "string":
                 continue
             elif shape == "ref":
                 target = rm.binding(elem, field)

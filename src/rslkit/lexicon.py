@@ -74,12 +74,16 @@ class Lexicon(Record):
         return self.entries.get(surface.lower(), set())
 
 
-def _parse_lexicon_lines(lex: Lexicon, text: str, path: str):
+def _tab_lines(text: str):
+    """(line number, tab-separated fields) of each line that is neither blank nor a `#` comment."""
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+        if line and not line.startswith("#"):
+            yield line_no, line.split("\t")
+
+
+def _parse_lexicon_lines(lex: Lexicon, text: str, path: str):
+    for line_no, fields in _tab_lines(text):
         if len(fields) != 3:
             raise LexiconFormatError(path, line_no, "expected surface<TAB>lemma<TAB>UPOS")
         surface, lemma, upos = fields
@@ -89,11 +93,7 @@ def _parse_lexicon_lines(lex: Lexicon, text: str, path: str):
 
 
 def _parse_suffix_lines(lex: Lexicon, text: str, path: str):
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for line_no, fields in _tab_lines(text):
         if len(fields) != 3 or not fields[0].startswith("-") or ":" not in fields[2]:
             raise LexiconFormatError(path, line_no, "expected -suffix<TAB>UPOS<TAB>strip:append")
         suffix, upos, rewrite = fields

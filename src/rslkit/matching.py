@@ -31,6 +31,13 @@ def normalize(text: str) -> str:
     return " ".join(WORD_RE.findall(text.lower()))
 
 
+def fragment_ref(part) -> Optional[FragmentRefPart]:
+    """The fragment reference a failing part expected: itself, or an alternation's first one."""
+    if isinstance(part, AltPart):
+        return next((o for o in part.options if isinstance(o, FragmentRefPart)), None)
+    return part if isinstance(part, FragmentRefPart) else None
+
+
 class MatchResult(Record, frozen=True):
     matched: bool
     prefix_len: int = 0  # tokens consumed on success
@@ -136,11 +143,7 @@ def match_pattern(pattern: PatternExpr, tokens: list[Token], index: FragmentInde
     fail_ti, fail_pi = best
     part = parts[fail_pi]
     candidate = None
-    ref = part if isinstance(part, FragmentRefPart) else None
-    if ref is None and isinstance(part, AltPart):
-        refs = [o for o in part.options if isinstance(o, FragmentRefPart)]
-        ref = refs[0] if refs else None
-    if ref is not None:
+    if fragment_ref(part) is not None:
         remaining = tokens[fail_ti : fail_ti + 3]
         if remaining:
             candidate = " ".join(_title(t.surface) for t in remaining)

@@ -385,9 +385,6 @@ class Model(Record):
     def language(self) -> str:
         return self.language_decl.language if self.language_decl else "English"
 
-    def elements_of_kind(self, kind: str) -> list:
-        return [e for e in self.elements if e.kind == kind]
-
 
 # --- element kinds --------------------------------------------------------------
 #

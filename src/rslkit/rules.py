@@ -7,10 +7,8 @@ diagnostics, and a missing element name yields a create-element quick fix.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .lexicon import WORD_RE, Lexicon, analyze, split_sentences
-from .matching import FragmentIndex, MatchResult, match_pattern
+from .matching import FragmentIndex, MatchResult, fragment_ref, match_pattern
 from .model import (
     AltPart,
     Diagnostic,
@@ -43,20 +41,9 @@ def _fresh_id(kind: str, candidate: str, taken: set[str]) -> str:
     return new_id
 
 
-def _failing_ref(result: MatchResult) -> Optional[FragmentRefPart]:
-    part = result.expectation
-    if isinstance(part, FragmentRefPart):
-        return part
-    if isinstance(part, AltPart):
-        for option in part.options:
-            if isinstance(option, FragmentRefPart):
-                return option
-    return None
-
-
 def _expectation_line(result: MatchResult) -> str:
     part = result.expectation
-    ref = _failing_ref(result)
+    ref = fragment_ref(part)
     if ref is not None and result.candidate:
         noun = "name" if ref.fragment == "name" else ref.fragment
         return f"The word '{result.candidate}' is expected to be the {noun} of a/an '{ref.element_kind}'"
@@ -120,7 +107,7 @@ def check_linguistic_rules(
                     + _expectation_line(result)
                 )
                 fixes = ()
-                ref = _failing_ref(result)
+                ref = fragment_ref(result.expectation)
                 if ref is not None and result.candidate and ref.fragment == "name" and append_at is not None:
                     key = (ref.element_kind, result.candidate)
                     if key not in creations:

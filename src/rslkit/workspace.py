@@ -6,6 +6,7 @@ Import only makes another system's names visible for reference binding.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
 
 from . import parser
@@ -13,7 +14,6 @@ from .model import (
     KIND_TABLE,
     Diagnostic,
     Element,
-    Field,
     IncludeDecl,
     Model,
     QuickFix,
@@ -36,16 +36,13 @@ class Workspace(Record):
     systems: dict = {}  # system id -> Model, the systems parsed so far
     parse_diagnostics: dict = {}  # system id -> [Diagnostic]
     io_errors: list = []  # (system id, path, message)
-    _ids: dict = Field({}, repr=False)  # id(Model) -> system id
 
     def __contains__(self, system_id: str) -> bool:
         return system_id in self.sources
 
     def register(self, system_id: str, source: str, file: str) -> None:
         """Record a system's text; an earlier parse of that system is dropped."""
-        old = self.systems.pop(system_id, None)
-        if old is not None:
-            self._ids.pop(id(old), None)
+        self.systems.pop(system_id, None)
         self.parse_diagnostics.pop(system_id, None)
         self.sources[system_id] = (source, file)
 
@@ -57,25 +54,23 @@ class Workspace(Record):
             model, diags = parser.parse(source, file)
             self.systems[system_id] = model
             self.parse_diagnostics[system_id] = diags
-            self._ids[id(model)] = system_id
         return model
 
     def system_of(self, model: Model) -> Optional[str]:
-        name = self._ids.get(id(model))
-        return name if self.systems.get(name) is model else None
+        """Id of the system whose current parse is `model`; None for a model no longer registered."""
+        return next((name for name, m in self.systems.items() if m is model), None)
 
 
 def load_workspace(files: list[tuple[str, str]]) -> Workspace:
-    """Read and parse every (systemId, path) pair; read and decode failures are recorded, not raised."""
+    """Read every (systemId, path) pair and register it unparsed; read and decode failures are recorded, not raised."""
     ws = Workspace()
     for system_id, path in files:
         try:
-            with open(path, encoding="utf-8") as f:
-                source = f.read()
+            source = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             ws.io_errors.append((system_id, path, str(exc)))
             continue
-        add_system(ws, system_id, source, str(path))
+        ws.register(system_id, source, str(path))
     return ws
 
 
@@ -91,6 +86,7 @@ class ResolvedModel(Record):
     effective_elements: list
     diagnostics: list
     bindings: dict = {}  # (id(element), field) -> element
+    pulled: dict = {}  # id(include) -> elements it pulled, for each Include/IncludeAll that resolved cleanly
 
     @property
     def file(self) -> str:
@@ -163,22 +159,13 @@ def _resolve_include(
     return matches[:1]
 
 
-def resolve_include_elements(ws: Workspace, inc: IncludeDecl, own_system: Optional[str] = None):
-    """Elements an include would pull in, or None when unresolvable."""
-    diags: list = []
-    visiting = (own_system,) if own_system else ()
-    pulled = _resolve_include(ws, inc, 1, visiting, diags)
-    if any(d.code in ("RSL-R002", "RSL-R003", "RSL-R004") for d in diags):
-        return None
-    return pulled
-
-
 def resolve(model: Model, ws: Workspace) -> ResolvedModel:
     """Realize includes and bind every internal reference."""
     system_id = ws.system_of(model)
     diags: list = []
     included: list = []
     imported_pools: list[list] = []
+    pulled: dict = {}
     visiting = (system_id,) if system_id else ()
 
     for inc in model.includes:
@@ -192,15 +179,18 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
                 _included_elements(ws, inc.from_system, 1, visiting, diags, inc.span)
             )
             continue
-        pulled = _resolve_include(ws, inc, 1, visiting, diags)
-        if pulled:
-            included.extend(pulled)
+        before = len(diags)
+        elements = _resolve_include(ws, inc, 1, visiting, diags)
+        if elements:
+            included.extend(elements)
+        if len(diags) == before:  # no RSL-R002..R004 on the way, so the include can be inlined
+            pulled[id(inc)] = elements
 
     # Includes conventionally head a document, so pulled elements precede
     # the document's own; inlining an include then preserves this order.
     effective = included + list(model.elements)
 
-    rm = ResolvedModel(model, system_id, effective, diags)
+    rm = ResolvedModel(model, system_id, effective, diags, pulled=pulled)
     # The document's own effective list wins, then imported pools in
     # include order, each by its first element with that (kind, id).
     index = rm.index()
@@ -233,9 +223,9 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
     return rm
 
 
-def inline_include_fix(inc: IncludeDecl, ws: Workspace, own_system: Optional[str] = None) -> Optional[Diagnostic]:
-    """Info diagnostic offering to replace an include with the elements it pulls."""
-    pulled = resolve_include_elements(ws, inc, own_system)
+def inline_include_fix(inc: IncludeDecl, rm: ResolvedModel) -> Optional[Diagnostic]:
+    """Info diagnostic offering to replace an include of `rm`'s model with the elements it pulled."""
+    pulled = rm.pulled.get(id(inc))
     if not pulled:
         return None
     if inc.mode == "Include":

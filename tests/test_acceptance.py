@@ -203,7 +203,7 @@ def test_criterion_9_include_inlining():
     rm_before = resolve(model, ws)
 
     (inc,) = [i for i in model.includes if i.mode == "Include"]
-    diag = inline_include_fix(inc, ws, "Main")
+    diag = inline_include_fix(inc, rm_before)
     assert diag is not None and diag.code == "RSL-I001"
     fixed = apply_edits(fixture_text("billing_include.rsl"), diag.fixes[0].edits)
 

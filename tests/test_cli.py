@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -198,8 +199,8 @@ class TestFix:
     def test_dry_run_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
         reads = []
-        real_read = cli.read_source
-        monkeypatch.setattr(cli, "read_source", lambda path, what="": reads.append(path) or real_read(path, what))
+        real_read = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, **kw: reads.append(str(self)) or real_read(self, **kw))
         code, out, _ = run(["fix", "--dry-run", "--create-missing", str(doc)], capsys)
         assert code == 0 and "+++" in out
         assert reads == [str(doc)]
@@ -346,6 +347,47 @@ class TestUndecodableInput:
         argv = ["check", str(FIXTURES / "billing_clean.rsl"), "--lexicon", f"English={lexicon}"]
         self.assert_usage_error(argv, capsys, "lexicon")
 
+
+class TestReadErrorText:
+    """The exact text of a read failure: the path as given, then the reason."""
+
+    MISSING = "[Errno 2] No such file or directory: "
+    UNDECODABLE = "'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["./x.rsl"], f"'./x.rsl': {MISSING}'x.rsl'"),
+            (["./latin1.rsl"], f"'./latin1.rsl': {UNDECODABLE}"),
+            (["main.rsl", "--system", "X=./y.rsl"], f"'./y.rsl': {MISSING}'y.rsl'"),
+            (["main.rsl", "--system", "X=./latin1.rsl"], f"'./latin1.rsl': {UNDECODABLE}"),
+            (["main.rsl", "--manifest", "sub/missing.txt"], f"'sub/z.rsl': {MISSING}'sub/z.rsl'"),
+            (["main.rsl", "--manifest", "sub/latin1.txt"], f"'sub/latin1.rsl': {UNDECODABLE}"),
+        ],
+        ids=["target-missing", "target-latin1", "system-missing", "system-latin1", "manifest-missing", "manifest-latin1"],
+    )
+    def test_exact_message(self, argv, message, tmp_path, capsys, monkeypatch):
+        """The path as given, then the reason, which names the path as `Path` normalizes it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "main.rsl").write_text('Actor a_1 "Clerk" : User\n')
+        for spec in ("latin1.rsl", "sub/latin1.rsl"):
+            (tmp_path / spec).write_bytes(TestUndecodableInput.LATIN1)
+        (tmp_path / "sub" / "missing.txt").write_text("X=./z.rsl\n")
+        (tmp_path / "sub" / "latin1.txt").write_text("X=./latin1.rsl\n")
+        code, out, err = run(["check", *argv], capsys)
+        assert (code, out, err) == (2, "", f"error: cannot read {message}\n")
+
+    def test_first_problem_in_argument_order_is_reported(self, tmp_path, capsys, monkeypatch):
+        """A target that cannot be read is reported before a later id clash, and after an earlier one."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for main in ("main.rsl", "sub/main.rsl"):
+            (tmp_path / main).write_text('Actor a_1 "Clerk" : User\n')
+        code, _, err = run(["check", "./x.rsl", "main.rsl", "sub/main.rsl"], capsys)
+        assert (code, err) == (2, f"error: cannot read './x.rsl': {self.MISSING}'x.rsl'\n")
+        code, _, err = run(["check", "main.rsl", "sub/main.rsl", "./x.rsl"], capsys)
+        assert code == 2 and err.startswith("error: system id 'main' names two files, 'main.rsl' and 'sub/main.rsl'")
 
 
 class TestMalformedLexicon:

@@ -1,5 +1,10 @@
 """Reference binding, Import/Include/IncludeAll semantics, include inlining."""
 
+from collections import Counter
+from unittest import mock
+
+import rslkit.parser
+import rslkit.workspace
 from conftest import by_code, fixture_path, fixture_text
 from rslkit.checks import run_all_checks
 from rslkit.model import apply_edits
@@ -88,7 +93,7 @@ class TestIncludes:
         add_system(ws, "A", 'Actor a_own "A own" : User\n\nActor a_x "A first" : User\n\nActor a_x "A second" : User\n', "<a>")
         add_system(ws, "B", 'Actor a_x "B" : User\n\nActor a_y "B" : User\n', "<b>")
         rm = resolve(main, ws)
-        bound = {uc.id: rm.binding(uc, "primary_actor").name for uc in main.elements_of_kind("UseCase")}
+        bound = {uc.id: rm.binding(uc, "primary_actor").name for uc in main.elements if uc.kind == "UseCase"}
         assert bound == {"uc_1": "Own", "uc_2": "A first", "uc_3": "B"}
 
     def test_unknown_element(self):
@@ -151,10 +156,10 @@ class TestInlining:
                 ("Main", fixture_path("billing_include.rsl")),
             ]
         )
-        model = ws.systems["Main"]
+        model = ws.system("Main")
         rm_before = resolve(model, ws)
         (inc,) = [i for i in model.includes if i.mode == "Include"]
-        diag = inline_include_fix(inc, ws, "Main")
+        diag = inline_include_fix(inc, rm_before)
         assert diag.severity == "Info" and diag.code == "RSL-I001"
         assert diag.fixes[0].title == (
             "Replace this include specification by the LinguisticRule element specification itself."
@@ -175,7 +180,7 @@ class TestInlining:
         ws, model = two_systems(main, RULE_ONLY)
         rm_before = resolve(model, ws)
         (inc,) = model.includes
-        diag = inline_include_fix(inc, ws, "Main")
+        diag = inline_include_fix(inc, rm_before)
         assert diag.fixes[0].title == (
             "Replace this include specification by the included element specifications themselves."
         )
@@ -190,12 +195,21 @@ class TestInlining:
             ws, "Main", "Include Actor fromSystem Ghost element a_1\n", "<main>"
         )
         (inc,) = model.includes
-        assert inline_include_fix(inc, ws, "Main") is None
+        assert inline_include_fix(inc, resolve(model, ws)) is None
+
+    def test_partly_resolved_include_offers_no_fix(self):
+        """An include whose walk reports RSL-R002 still contributes what it found, but is not inlined."""
+        ws, model = two_systems("IncludeAll fromSystem Shared\n", "IncludeAll fromSystem Ghost\n\nActor a_1 : User\n", "Shared")
+        rm = resolve(model, ws)
+        assert [e.id for e in rm.effective_elements] == ["a_1"]
+        assert by_code(rm.diagnostics, "RSL-R002")
+        (inc,) = model.includes
+        assert inline_include_fix(inc, rm) is None
 
     def test_inlined_text_reparses_cleanly(self):
         ws, model = two_systems("IncludeAll fromSystem SystemRules\n", RULE_ONLY)
         (inc,) = model.includes
-        diag = inline_include_fix(inc, ws, "Main")
+        diag = inline_include_fix(inc, resolve(model, ws))
         fixed = apply_edits("IncludeAll fromSystem SystemRules\n", diag.fixes[0].edits)
         reparsed, diags = parse(fixed, "f")
         assert diags == []
@@ -214,3 +228,52 @@ def test_load_workspace_records_decode_errors(tmp_path):
     ws = load_workspace([("Latin1", str(path))])
     assert ws.io_errors and ws.io_errors[0][:2] == ("Latin1", str(path))
     assert ws.systems == {}
+
+
+def test_load_workspace_parses_on_demand(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.rsl").write_text(f'Actor a_{name} "Clerk" : User\n', encoding="utf-8")
+    parsed = []
+    real_parse = rslkit.parser.parse
+    with mock.patch.object(rslkit.parser, "parse", lambda source, file: parsed.append(file) or real_parse(source, file)):
+        ws = load_workspace([("A", str(tmp_path / "a.rsl")), ("B", str(tmp_path / "b.rsl"))])
+        assert parsed == [] and ws.systems == {}
+        assert "A" in ws and "B" in ws and ws.io_errors == []
+        assert [e.id for e in ws.system("A").elements] == ["a_a"]
+    assert parsed == [str(tmp_path / "a.rsl")]
+    assert list(ws.systems) == ["A"]
+
+
+def test_checks_walk_each_include_once():
+    main = (
+        "Include LinguisticRule fromSystem SystemRules element l_r_Actor_Name\n\n"
+        "IncludeAll fromSystem Shared\n\n"
+        "Import fromSystem Shared\n\n"
+        'Actor a_1 "Clerk" : User\n'
+    )
+    ws, model = two_systems(main, RULE_ONLY)
+    add_system(ws, "Shared", 'DataEntity e_1 "Invoice" : Document\n', "<shared>")
+    walks = Counter()
+    real_walk = rslkit.workspace._resolve_include
+
+    def walk(ws, inc, *args):
+        walks[inc.mode] += 1
+        return real_walk(ws, inc, *args)
+
+    with mock.patch.object(rslkit.workspace, "_resolve_include", walk):
+        diags = run_all_checks(resolve(model, ws), ws)
+    assert walks == Counter({"Include": 1, "IncludeAll": 1})
+    assert len(by_code(diags, "RSL-I001")) == 2
+
+
+def test_system_of_forgets_a_replaced_model():
+    text = 'Actor a_1 "Clerk" : User\n'
+    ws = Workspace()
+    old = add_system(ws, "S", text, "<s>")
+    assert ws.system_of(old) == "S"
+    ws.register("S", text, "<s>")
+    assert ws.system_of(old) is None
+    new = ws.system("S")
+    # The same text parses to an equal model; only the current parse maps to the system.
+    assert new == old and new is not old
+    assert ws.system_of(new) == "S" and ws.system_of(old) is None
