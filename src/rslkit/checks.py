@@ -243,13 +243,12 @@ def pick_lexicon(language: str, overrides: Optional[dict] = None) -> Optional[Le
 
 def run_all_checks(
     rm: ResolvedModel,
-    ws: Optional[Workspace] = None,
+    ws: Workspace,
     lexicons: Optional[dict] = None,
 ) -> list[Diagnostic]:
     """Full pipeline: parse + resolution + custom + linguistic + includes."""
     diags: list[Diagnostic] = []
-    if ws is not None and rm.system_id is not None:
-        diags.extend(ws.parse_diagnostics.get(rm.system_id, ()))
+    diags.extend(ws.parse_diagnostics.get(rm.system_id, ()))
     diags.extend(rm.diagnostics)
     diags.extend(check_unique_ids(rm))
 
@@ -276,13 +275,12 @@ def run_all_checks(
         rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
         diags.extend(check_linguistic_rules(rm, rules, lex))
 
-    if ws is not None:
-        for inc in rm.model.includes:
-            if inc.mode == "Import":
-                continue
-            info = inline_include_fix(inc, rm)
-            if info is not None:
-                diags.append(info)
+    for inc in rm.model.includes:
+        if inc.mode == "Import":
+            continue
+        info = inline_include_fix(inc, rm)
+        if info is not None:
+            diags.append(info)
 
     return finalize(diags)
 

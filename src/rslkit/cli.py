@@ -59,7 +59,7 @@ def read_manifest(path: str) -> dict:
 
 
 def build_workspace(paths: list[str], args):
-    """Returns (workspace, [(systemId, path)] target documents).
+    """Returns (workspace, [systemId] of the target documents).
 
     Every file is read up front, so an unreadable one is a usage error; a
     system is parsed only when resolution first reaches it.
@@ -88,7 +88,7 @@ def build_workspace(paths: list[str], args):
             continue
         chosen[name] = path
         files.append((name, str(path)))
-        targets.append((name, str(Path(path))))
+        targets.append(name)
     else:
         for name, path in mapping.items():
             if name not in chosen:
@@ -116,9 +116,9 @@ def load_lexicon_overrides(args) -> dict:
     return overrides
 
 
-def check_all(ws: Workspace, targets, lexicons) -> list[Diagnostic]:
+def check_all(ws: Workspace, targets: list[str], lexicons) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for name, _path in targets:
+    for name in targets:
         rm = resolve(ws.system(name), ws)
         diags.extend(run_all_checks(rm, ws, lexicons))
     return diags
@@ -133,8 +133,9 @@ def span_range(span) -> dict:
     }
 
 
-def report_json(diags: list[Diagnostic], target_paths: list[str]) -> str:
-    by_file: dict[str, list] = {p: [] for p in target_paths}
+def report_json(diags: list[Diagnostic], ws: Workspace, targets: list[str]) -> str:
+    """Every target is listed under the file it was registered under, the name its diagnostics carry."""
+    by_file: dict[str, list] = {ws.sources[name][1]: [] for name in targets}
     for d in diags:
         by_file.setdefault(d.span.file, []).append(d)
     files = []
@@ -199,7 +200,7 @@ def cmd_check(args) -> int:
     lexicons = load_lexicon_overrides(args)
     diags = check_all(ws, targets, lexicons)
     if args.format == "json":
-        sys.stdout.write(report_json(diags, [p for _, p in targets]))
+        sys.stdout.write(report_json(diags, ws, targets))
     else:
         sys.stdout.write(report_human(diags))
     return exit_code(diags)
@@ -338,8 +339,7 @@ def cmd_gen(args) -> int:
     lexicons = load_lexicon_overrides(args)
     if not targets:
         raise UsageError("gen needs an input document")
-    name, _path = targets[0]
-    rm = resolve(ws.system(name), ws)
+    rm = resolve(ws.system(targets[0]), ws)
     diags = run_all_checks(rm, ws, lexicons)
     refusal = ensure_valid(rm, diags)
     if refusal is not None:

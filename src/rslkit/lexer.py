@@ -6,11 +6,11 @@ a digit run, a string, a punctuation mark or a single other character.
 `tokenize` returns one `Tokens` value: four parallel lists (`kinds`,
 `texts`, `starts`, `ends`) plus a shared line-start table of the source.
 A punctuation mark's kind is the mark itself (`":"`, `"["`, ...), so a
-parser tests it with one comparison. The parser reads these lists by
-index and builds no token objects; `tokens[i]`, slicing and iteration
-build an `RslToken` (kind `"punct"` for a mark) on demand, for callers
-that want one. A line and column span is computed from the line table
-with `bisect` only when someone asks for it.
+parser tests it with one comparison. There are no token objects: the
+parser reads these lists by index, a line and column span is computed
+from the line table with `bisect` only when someone asks for it, and
+`len(tokens)` is kept only so that the benchmark's trace of `tokenize`
+can count tokens.
 
 Identifiers start with a character for which `str.isalpha()` holds (or
 `_`) and go on over `str.isalnum()` characters (or `_`); digit runs are
@@ -49,10 +49,9 @@ _ESCAPE_RE = re.compile(r'\\(["\\])')
 class LineTable:
     """Line-start offsets of one source, for turning offsets into spans."""
 
-    __slots__ = ("source", "file", "starts")
+    __slots__ = ("file", "starts")
 
     def __init__(self, source: str, file: str):
-        self.source = source
         self.file = file
         starts = [0]
         i = source.find("\n")
@@ -81,37 +80,15 @@ class LineTable:
         return self.span(start + 1, max(end - 1, start + 1))
 
 
-class RslToken:
-    __slots__ = ("kind", "text", "start", "end", "lines")
-
-    def __init__(self, kind: str, text: str, start: int, end: int, lines: LineTable):
-        self.kind = kind  # identifier | string | punct | error | end
-        self.text = text  # surface text; for strings, the decoded value
-        self.start = start
-        self.end = end
-        self.lines = lines
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.lines.span(self.start, self.end)
-
-    @property
-    def raw(self) -> str:
-        """Original source text (differs from `text` for strings)."""
-        return self.lines.source[self.start : self.end]
-
-    def __repr__(self) -> str:
-        return f"RslToken({self.kind!r}, {self.text!r}, {self.start}, {self.end})"
-
-
 class Tokens:
     """The tokens of one source as parallel lists; the last token has kind "end".
 
     `kinds[i]` is "identifier", "string", "error", "end" or, for a
     punctuation mark, the mark itself; `texts[i]` is the surface text (for
     a string, its decoded value); `starts[i]`/`ends[i]` are offsets into
-    the source. As a sequence (`len`, indexing, slicing, iteration) it
-    holds `RslToken`s, each built when asked for.
+    the source. There is no per-token object to index or iterate over;
+    `len()` stays because the benchmark's trace of `tokenize` counts
+    tokens with it.
     """
 
     __slots__ = ("kinds", "texts", "starts", "ends", "lines")
@@ -123,16 +100,8 @@ class Tokens:
         self.ends = ends
         self.lines = lines
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # perfbench's trace of `tokenize` counts tokens with len()
         return len(self.kinds)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.kinds)))]
-        kind = self.kinds[index]
-        return RslToken(
-            kind if len(kind) > 1 else "punct", self.texts[index], self.starts[index], self.ends[index], self.lines
-        )
 
 
 def tokenize(source: str, file: str = "<memory>") -> Tokens:
@@ -190,12 +159,3 @@ def tokenize(source: str, file: str = "<memory>") -> Tokens:
     starts.append(n)
     ends.append(n)
     return Tokens(kinds, texts, starts, ends, LineTable(source, file))
-
-
-def content_span(token: RslToken) -> SourceSpan:
-    """Span of a string token's contents (inside the quotes).
-
-    Only exact when the literal carries no escapes; callers needing edit
-    precision should check that first.
-    """
-    return token.lines.content_span(token.start, token.end)

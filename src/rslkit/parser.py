@@ -93,7 +93,7 @@ class _Parser:
         return self.lines.span(self.starts[i], self.ends[max(self.pos - 1, i)])
 
     def content_span(self, i: int) -> SourceSpan:
-        """Span of string token i's contents; see `lexer.content_span`."""
+        """Span of string token i's contents, inside the quotes; see `LineTable.content_span`."""
         return self.lines.content_span(self.starts[i], self.ends[i])
 
     def skip_to_top(self):

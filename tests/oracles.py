@@ -17,10 +17,10 @@ parses every input and manifest entry up front, whether or not a target
 reaches it.
 
 The parser oracle (`TokenObjectParser`) is the table-driven parser as it
-was before the lexer returned token arrays: it walks a list of `RslToken`
-objects with a method call per token test, so the index-based parser can
-be compared with it model for model, span for span and diagnostic for
-diagnostic.
+was before the lexer returned token arrays: it walks the tokenizer
+oracle's `OracleToken` list with a method call per token test, so the
+index-based parser can be compared with it model for model, span for span
+and diagnostic for diagnostic, and shares no lexer with it.
 
 The element-kind oracles are the per-kind code the element-kind table
 replaced, kept as it was on top of that parser: its element head and clause layer,
@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Optional
 
 from rslkit import cli
-from rslkit.lexer import RslToken, content_span, tokenize
 from rslkit.matching import MatchResult, normalize
 from rslkit.model import (
     CONSTRAINTS,
@@ -226,6 +225,19 @@ class OracleToken:
     span: SourceSpan
     raw: str = ""
 
+    @property
+    def start(self) -> int:
+        return self.span.offset
+
+    @property
+    def end(self) -> int:
+        return self.span.end_offset
+
+
+def content_span(tok: OracleToken) -> SourceSpan:
+    """Span inside the quotes of a string token; a string never crosses a line."""
+    return tok.span.slice(1, max(tok.span.length - 1, 1))
+
 
 def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
     tokens: list[OracleToken] = []
@@ -330,7 +342,7 @@ def oracle_build_workspace(paths: list[str], args):
             continue
         seen.add(name)
         add_system(ws, name, cli.read_source(path), str(path))
-        targets.append((name, str(Path(path))))
+        targets.append(name)
     for name, path in mapping.items():
         if name in seen:
             continue
@@ -363,22 +375,22 @@ _TOP_KEYWORDS = set(ELEMENT_KINDS) | {"Include", "Import", "IncludeAll"}
 class TokenObjectParser:
     """The table-driven parser as it was before the token arrays.
 
-    It walks a list of `RslToken` objects and makes one method call per
+    It walks the `oracle_tokenize` list and makes one method call per
     token test; `parse` must give the same models, spans and diagnostics.
     """
 
     def __init__(self, source: str, file: str):
-        self.tokens = list(tokenize(source, file))
+        self.tokens = oracle_tokenize(source, file)
         self.pos = 0
         self.file = file
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> RslToken:
+    def peek(self) -> OracleToken:
         return self.tokens[self.pos]
 
-    def next(self) -> RslToken:
+    def next(self) -> OracleToken:
         tok = self.tokens[self.pos]
         if tok.kind != "end":
             self.pos += 1
@@ -388,7 +400,7 @@ class TokenObjectParser:
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[RslToken]:
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[OracleToken]:
         if self.at(kind, text):
             return self.next()
         return None
@@ -397,7 +409,7 @@ class TokenObjectParser:
         span = span or self.peek().span
         self.diagnostics.append(Diagnostic("Error", code, message, span))
 
-    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> Optional[RslToken]:
+    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> Optional[OracleToken]:
         tok = self.accept(kind, text)
         if tok is None:
             want = what or text or kind
@@ -418,11 +430,20 @@ class TokenObjectParser:
                 return
             self.next()
 
-    def span_from(self, start: RslToken) -> SourceSpan:
+    def span_from(self, start: OracleToken) -> SourceSpan:
         last = self.tokens[max(self.pos - 1, 0)]
         if last.start < start.start:
             last = start
-        return start.lines.span(start.start, last.end)
+        first, last = start.span, last.span
+        return SourceSpan(
+            first.file,
+            first.start_line,
+            first.start_col,
+            last.end_line,
+            last.end_col,
+            first.offset,
+            last.end_offset - first.offset,
+        )
 
     # -- document ----------------------------------------------------------
 
@@ -596,7 +617,7 @@ class TokenObjectParser:
     # Each clause-value parser returns the value of the clause's field, or
     # None after reporting an error; it sets the span and any second field.
 
-    def parse_string(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+    def parse_string(self, elem: Element, tok: OracleToken, clause) -> Optional[str]:
         s = self.expect("string", what="a string")
         if s is None:
             return None
@@ -604,7 +625,7 @@ class TokenObjectParser:
             setattr(elem, clause[4], content_span(s))
         return s.text
 
-    def parse_reference(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+    def parse_reference(self, elem: Element, tok: OracleToken, clause) -> Optional[str]:
         target = self.expect("identifier", what="an element id")
         if target is None:
             return None
@@ -612,7 +633,7 @@ class TokenObjectParser:
         setattr(elem, clause[4], self.span_from(tok) if clause[2] == "parent" else target.span)
         return target.text
 
-    def parse_list(self, elem: Element, tok: RslToken, clause) -> Optional[tuple]:
+    def parse_list(self, elem: Element, tok: OracleToken, clause) -> Optional[tuple]:
         kind, what = ("identifier", "an identifier") if clause[2] == "ids" else ("string", "a string")
         values = []
         while True:
@@ -623,7 +644,7 @@ class TokenObjectParser:
             if not self.accept("punct", ","):
                 return tuple(values)
 
-    def parse_enum(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+    def parse_enum(self, elem: Element, tok: OracleToken, clause) -> Optional[str]:
         allowed = clause[3]
         value = self.expect("identifier", what=", ".join(allowed[:-1]) + " or " + allowed[-1])
         if value is None:
@@ -633,7 +654,7 @@ class TokenObjectParser:
             return None
         return value.text
 
-    def parse_extends(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+    def parse_extends(self, elem: Element, tok: OracleToken, clause) -> Optional[str]:
         target = self.expect("identifier", what="a use case id")
         if target is None or self.expect("identifier", "onExtensionPoint") is None:
             return None
@@ -644,7 +665,7 @@ class TokenObjectParser:
         setattr(elem, clause[4], self.span_from(tok))
         return target.text
 
-    def parse_property(self, elem: Element, tok: RslToken, clause) -> Optional[str]:
+    def parse_property(self, elem: Element, tok: OracleToken, clause) -> Optional[str]:
         kind_tok = self.expect("identifier", what="an element kind")
         if kind_tok is None or self.expect("punct", ".") is None:
             return None
@@ -660,7 +681,7 @@ class TokenObjectParser:
         elem.fragment = frag_tok.text
         return kind_tok.text
 
-    def parse_attribute(self, entity: DataEntity, start: RslToken, clause) -> Optional[tuple]:
+    def parse_attribute(self, entity: DataEntity, start: OracleToken, clause) -> Optional[tuple]:
         id_tok = self.expect("identifier", what="an attribute id")
         if id_tok is None:
             return None
@@ -1057,7 +1078,7 @@ class OracleParser(TokenObjectParser):
 
         return self.wrong_clause(tok, elem)
 
-    def wrong_clause(self, tok: RslToken, elem: Element) -> bool:
+    def wrong_clause(self, tok: OracleToken, elem: Element) -> bool:
         self.error(
             "RSL-S002",
             f"Clause '{tok.text}' is not allowed in a {type(elem).kind} body",
@@ -1075,7 +1096,7 @@ class OracleParser(TokenObjectParser):
             if not self.accept("punct", ","):
                 return names
 
-    def parse_attribute(self, entity: DataEntity, start: RslToken) -> bool:
+    def parse_attribute(self, entity: DataEntity, start: OracleToken) -> bool:
         id_tok = self.expect("identifier", what="an attribute id")
         if id_tok is None:
             return False

@@ -6,7 +6,7 @@ import string
 import pytest
 
 from conftest import by_code, fixture_path, fixture_text
-from rslkit.lexer import content_span, tokenize
+from rslkit.lexer import tokenize
 from rslkit.model import DataEntity, LinguisticRuleDecl, Term, UseCase
 from rslkit.parser import parse
 
@@ -20,22 +20,23 @@ def parse_ok(source):
 class TestLexer:
     def test_string_escapes_decoded(self):
         tokens = tokenize(r'"a \"quoted\" word"')
-        assert tokens[0].kind == "string"
-        assert tokens[0].text == 'a "quoted" word'
+        assert tokens.kinds[0] == "string"
+        assert tokens.texts[0] == 'a "quoted" word'
 
     def test_unterminated_string_is_error_token(self):
         tokens = tokenize('"oops\nActor a')
-        assert tokens[0].kind == "error"
+        assert tokens.kinds[0] == "error"
 
     def test_content_span_matches_inner_text(self):
         src = 'Actor a "Manager" : User'
-        tok = [t for t in tokenize(src) if t.kind == "string"][0]
-        inner = content_span(tok)
+        tokens = tokenize(src)
+        i = tokens.kinds.index("string")
+        inner = tokens.lines.content_span(tokens.starts[i], tokens.ends[i])
         assert src[inner.offset : inner.offset + inner.length] == "Manager"
-        assert inner.length == len(tok.text)
+        assert inner.length == len(tokens.texts[i])
 
     def test_comment_skipped(self):
-        kinds = [t.kind for t in tokenize("// note\nActor")]
+        kinds = tokenize("// note\nActor").kinds
         assert kinds == ["identifier", "end"]
 
 

@@ -1,7 +1,8 @@
 """The index-based parser against the token-object parser it replaced.
 
 `oracles.TokenObjectParser` is the table-driven parser as it was when it
-walked a list of `RslToken` objects. On every input here `parse` must give
+walked a list of token objects; it now walks `oracles.oracle_tokenize`,
+so it shares no lexer with `parse`. On every input here `parse` must give
 an equal model, the same span in every `*_span` field, include and end of
 input, and the same diagnostics with their spans.
 """
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from modelgen import random_model
 from oracles import oracle_token_object_parse, oracle_tokenize
-from rslkit import lexer
 from rslkit.lexer import tokenize
 from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS, parse
 from rslkit.printer import print_model
@@ -41,18 +41,19 @@ def assert_same_parse(source: str, file: str = "f.rsl"):
 def mutate(source: str, rng: random.Random, pool: list) -> str:
     """One to three token edits: insert a token, delete one, or copy a run of tokens elsewhere."""
     for _ in range(rng.randint(1, 3)):
-        tokens = list(tokenize(source))  # the last one is "end", at len(source)
-        at = rng.choice(tokens).start  # where an insert or a copy goes
+        tokens = tokenize(source)  # the last token is "end", at len(source)
+        starts, ends = tokens.starts, tokens.ends
+        at = rng.choice(starts)  # where an insert or a copy goes
         op = rng.choice(("insert", "delete", "copy")) if len(tokens) > 1 else "insert"
         if op == "insert":
             source = source[:at] + " " + rng.choice(pool) + " " + source[at:]
         elif op == "delete":
-            tok = rng.choice(tokens[:-1])
-            source = source[: tok.start] + source[tok.end :]
+            k = rng.randrange(len(tokens) - 1)
+            source = source[: starts[k]] + source[ends[k] :]
         else:
             i = rng.randrange(len(tokens) - 1)
             j = min(len(tokens) - 2, i + rng.randrange(12))
-            segment = source[tokens[i].start : tokens[j].end]
+            segment = source[starts[i] : ends[j]]
             source = source[:at] + " " + segment + " " + source[at:]
     return source
 
@@ -79,7 +80,7 @@ def test_fixtures():
 
 
 def test_seeded_fixture_mutants():
-    pool = sorted({t.raw for text in FIXTURE_TEXTS.values() for t in tokenize(text)} - {""})
+    pool = sorted({t.raw for text in FIXTURE_TEXTS.values() for t in oracle_tokenize(text)} - {""})
     pool += ["[", "]", '"unterminated', "@", "Include"]
     diagnosed = 0
     count = 0
@@ -102,12 +103,3 @@ def test_rsl_like_text(source):
 @given(st.text())
 def test_any_text(source):
     assert_same_parse(source)
-
-
-def test_parsing_builds_no_token_objects(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("parse built an RslToken")
-
-    monkeypatch.setattr(lexer.RslToken, "__init__", refuse)
-    model, diags = parse(FIXTURE_TEXTS["billing_clean.rsl"], "billing_clean.rsl")
-    assert diags == [] and len(model.elements) == 21
