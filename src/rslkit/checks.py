@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lexicon import Lexicon, analyze, builtin_lexicon
+from .lexicon import WORD_RE, Lexicon, analyze, builtin_lexicon
 from .model import (
     KIND_TABLE,
     Diagnostic,
@@ -103,15 +103,35 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
 
 
 def check_glossary(rm: ResolvedModel, lex: Lexicon, glossary: GlossaryIndex) -> list[Diagnostic]:
+    """RSL-V002 for each word of a name or description that is a synonym, by surface or lemma.
+
+    A screen runs first: a fragment is analyzed only when one of its
+    words, lowercased or as the lemma `lex.tag` gives it, is a glossary
+    key. That is the hit test below, so the screen drops only fragments
+    without a hit. Each distinct word is screened once per call, and a
+    model without synonyms is not scanned at all.
+    """
+    entries = glossary.entries
+    if not entries:
+        return []
     diags = []
+    can_hit: dict = {}  # word -> whether it is a key, lowercased or as its lemma
     for elem in rm.effective_elements:
         for fragment in ("name", "description"):
             value = elem.fragment_value(fragment)
             if not value:
                 continue
+            for word in WORD_RE.findall(value):
+                can = can_hit.get(word)
+                if can is None:
+                    can = can_hit[word] = word.lower() in entries or lex.tag(word)[1] in entries
+                if can:
+                    break
+            else:
+                continue  # no word can hit
             base = elem.exact_fragment_span(fragment)
             for token in analyze(value, lex):
-                hit = glossary.entries.get(token.surface.lower()) or glossary.entries.get(token.lemma)
+                hit = entries.get(token.surface.lower()) or entries.get(token.lemma)
                 if hit is None:
                     continue
                 main, _term = hit

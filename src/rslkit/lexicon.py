@@ -4,6 +4,14 @@ Tokens carry candidate tag sets; a word is never forced into a single
 POS, so matching stays lenient where dictionaries are ambiguous.
 Out-of-vocabulary words fall back to suffix rules, then a capitalization
 heuristic.
+
+`Lexicon.tag` tags each distinct word once: its result is memoized in
+the lexicon's `words` dict, keyed on the surface as written, and `add`
+or loading suffix rules clears that memo. The capitalization heuristic
+depends on the word's position, so it is applied by `analyze`, outside
+the memo. When a surface has several lemmas, the shortest wins, and
+among equally short ones the alphabetically first, so the pick never
+depends on set order.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import re
 from functools import cache
 from typing import Optional
 
-from .model import Record
+from .model import Field, Record
 
 UPOS_TAGS = {"VERB", "NOUN", "PROPN", "ADJ", "ADV", "DET", "ADP", "PRON", "CCONJ", "NUM"}
 
@@ -24,6 +32,8 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 WORD_RE = re.compile(r"\w+", re.UNICODE)
 SENTENCE_SPLIT_RE = re.compile(r"[.!?]")
+
+NUM, PROPN, NOUN = frozenset({"NUM"}), frozenset({"PROPN"}), frozenset({"NOUN"})
 
 
 class LexiconFormatError(Exception):
@@ -66,12 +76,31 @@ class Lexicon(Record):
     language: str = "English"
     entries: dict = {}  # lower surface -> set[(upos, lemma)]
     suffix_rules: list = []
+    words: dict = Field({}, compare=False, repr=False)  # surface -> tag(surface)
 
     def add(self, surface: str, lemma: str, upos: str):
         self.entries.setdefault(surface.lower(), set()).add((upos, lemma.lower()))
+        self.words.clear()
 
-    def lookup(self, surface: str) -> set[tuple[str, str]]:
-        return self.entries.get(surface.lower(), set())
+    def tag(self, surface: str) -> tuple[Optional[frozenset], str]:
+        """(candidate tags, lemma) of one word; tags are None when no entry or suffix rule knows it."""
+        tagged = self.words.get(surface)
+        if tagged is None:
+            lower = surface.lower()
+            hits = self.entries.get(lower)
+            if hits:
+                tagged = frozenset(t for t, _ in hits), min((l for _, l in hits), key=lambda l: (len(l), l))
+            elif surface.isdigit():
+                tagged = NUM, surface
+            else:
+                tagged = None, lower
+                for rule in self.suffix_rules:
+                    hit = rule.apply(lower)
+                    if hit is not None:
+                        tagged = frozenset({hit[0]}), hit[1]
+                        break
+            self.words[surface] = tagged
+        return tagged
 
 
 def _tab_lines(text: str):
@@ -101,6 +130,7 @@ def _parse_suffix_lines(lex: Lexicon, text: str, path: str):
             raise LexiconFormatError(path, line_no, f"unknown UPOS tag '{upos}'")
         strip, _, append = rewrite.partition(":")
         lex.suffix_rules.append(SuffixRule(suffix[1:], upos, strip, append))
+    lex.words.clear()
 
 
 def load_lexicon(path: str, suffix_path: Optional[str] = None, language: str = "English") -> Lexicon:
@@ -119,7 +149,8 @@ def builtin_lexicon(language: str) -> Optional[Lexicon]:
     """Shipped lexicon for a language, or None when we carry none.
 
     Loaded once per language for the life of the process and shared by
-    every caller; nothing mutates a loaded Lexicon.
+    every caller. Only the word memo of `Lexicon.tag` grows, so one
+    tagging of a word serves every target and check pass.
     """
     code = BUILTIN_LEXICONS.get(language)
     if code is None:
@@ -148,26 +179,8 @@ def analyze(text: str, lex: Lexicon) -> list[Token]:
     tokens: list[Token] = []
     for index, m in enumerate(WORD_RE.finditer(text)):
         surface = m.group()
-        hits = lex.lookup(surface)
-        if hits:
-            tags = frozenset(t for t, _ in hits)
-            # Several lemmas may coexist (rare); prefer the shortest.
-            lemma = min((l for _, l in hits), key=len)
-        else:
-            tags, lemma = _oov(surface, index, lex)
+        tags, lemma = lex.tag(surface)
+        if tags is None:  # unknown word: a proper noun when capitalized past the first word
+            tags = PROPN if index > 0 and surface[:1].isupper() else NOUN
         tokens.append(Token(surface, lemma, tags, m.start(), m.end()))
     return tokens
-
-
-def _oov(surface: str, index: int, lex: Lexicon) -> tuple[frozenset, str]:
-    if surface.isdigit():
-        return frozenset({"NUM"}), surface
-    lower = surface.lower()
-    for rule in lex.suffix_rules:
-        hit = rule.apply(lower)
-        if hit is not None:
-            upos, lemma = hit
-            return frozenset({upos}), lemma
-    if index > 0 and surface[:1].isupper():
-        return frozenset({"PROPN"}), lower
-    return frozenset({"NOUN"}), lower

@@ -27,6 +27,12 @@ replaced, kept as it was on top of that parser: its element head and clause laye
 the element printer, the JSON and text builders and the reference
 binding of `resolve`, each one hand-written `isinstance` ladder per kind,
 plus the pattern renderer that L001 messages use.
+
+The tagger oracle is `analyze` as it was before `Lexicon.tag` memoized
+each word: it looks every word up again on every call. Its one change
+is the tie rule among equally short lemmas, so the two agree on ties
+too. The glossary oracle is `check_glossary` before the screen: it
+analyzes every name and description with that tagger.
 """
 
 from collections import deque
@@ -35,6 +41,7 @@ from pathlib import Path
 from typing import Optional
 
 from rslkit import cli
+from rslkit.lexicon import WORD_RE, Lexicon, Token
 from rslkit.matching import MatchResult, normalize
 from rslkit.model import (
     CONSTRAINTS,
@@ -60,9 +67,11 @@ from rslkit.model import (
     Model,
     PatternExpr,
     PosPart,
+    QuickFix,
     SourceSpan,
     Stakeholder,
     Term,
+    TextEdit,
     UseCase,
 )
 from rslkit.printer import print_include, quote
@@ -1509,3 +1518,62 @@ def oracle_render_part(part, parenthesize: bool = True) -> str:
 def oracle_render_pattern(pattern: PatternExpr) -> str:
     """Human-readable pattern with each non-literal part parenthesized."""
     return " + ".join(oracle_render_part(p) for p in pattern.parts)
+
+
+# --- tagger and glossary -------------------------------------------------------
+
+def oracle_analyze(text: str, lex: Lexicon) -> list[Token]:
+    """Tokenize a fragment and tag every word with candidate UPOS tags."""
+    tokens: list[Token] = []
+    for index, m in enumerate(WORD_RE.finditer(text)):
+        surface = m.group()
+        hits = lex.entries.get(surface.lower(), set())
+        if hits:
+            tags = frozenset(t for t, _ in hits)
+            # Several lemmas may coexist (rare); prefer the shortest, then the first.
+            lemma = min((l for _, l in hits), key=lambda l: (len(l), l))
+        else:
+            tags, lemma = _oracle_oov(surface, index, lex)
+        tokens.append(Token(surface, lemma, tags, m.start(), m.end()))
+    return tokens
+
+
+def _oracle_oov(surface: str, index: int, lex: Lexicon) -> tuple[frozenset, str]:
+    if surface.isdigit():
+        return frozenset({"NUM"}), surface
+    lower = surface.lower()
+    for rule in lex.suffix_rules:
+        hit = rule.apply(lower)
+        if hit is not None:
+            upos, lemma = hit
+            return frozenset({upos}), lemma
+    if index > 0 and surface[:1].isupper():
+        return frozenset({"PROPN"}), lower
+    return frozenset({"NOUN"}), lower
+
+
+def oracle_check_glossary(rm: ResolvedModel, lex: Lexicon, glossary) -> list[Diagnostic]:
+    diags = []
+    for elem in rm.effective_elements:
+        for fragment in ("name", "description"):
+            value = elem.fragment_value(fragment)
+            if not value:
+                continue
+            base = elem.exact_fragment_span(fragment)
+            for token in oracle_analyze(value, lex):
+                hit = glossary.entries.get(token.surface.lower()) or glossary.entries.get(token.lemma)
+                if hit is None:
+                    continue
+                main, _term = hit
+                replacement = main
+                if token.capitalized and replacement:
+                    replacement = replacement[0].upper() + replacement[1:]
+                message = f"Replace the word '{token.surface}' by the main word '{main}'"
+                if base is not None:
+                    span = base.slice(token.start, token.end)
+                    fixes = (QuickFix(message, (TextEdit(span, replacement),)),)
+                else:
+                    span = elem.fragment_span(fragment) or elem.span
+                    fixes = ()
+                diags.append(Diagnostic("Warning", "RSL-V002", message, span, fixes=fixes))
+    return diags

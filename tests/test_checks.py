@@ -2,10 +2,19 @@
 
 import random
 
-from conftest import by_code, check_source
-from oracles import nodes_on_simple_cycles, oracle_cycle_nodes
-from rslkit.checks import cycle_nodes, strongly_connected_components
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES, by_code, check_source, fixture_text
+from modelgen import random_model
+from oracles import nodes_on_simple_cycles, oracle_analyze, oracle_check_glossary, oracle_cycle_nodes
+from rslkit import checks
+from rslkit.checks import build_glossary, check_glossary, cycle_nodes, pick_lexicon, strongly_connected_components
+from rslkit.lexicon import Lexicon
 from rslkit.model import apply_edits
+from rslkit.printer import print_model
+from rslkit.workspace import Workspace, add_system, resolve
 
 
 class TestUniqueIds:
@@ -95,6 +104,100 @@ class TestGlossary:
         )
         _, diags = check_source(src)
         assert by_code(diags, "RSL-C002")
+
+
+def glossary_inputs(source: str, extra: dict | None = None):
+    """(resolved model, glossary lexicon, glossary) as `run_all_checks` builds them."""
+    ws = Workspace()
+    model = add_system(ws, "Main", source, "main.rsl")
+    for name, text in (extra or {}).items():
+        add_system(ws, name, text, f"{name}.rsl")
+    rm = resolve(model, ws)
+    language = rm.model.language
+    return rm, pick_lexicon(language) or Lexicon(language=language), build_glossary(rm)
+
+
+def assert_glossary_matches_oracle(source: str, extra: dict | None = None) -> int:
+    rm, lex, glossary = glossary_inputs(source, extra)
+    got = check_glossary(rm, lex, glossary)
+    assert got == oracle_check_glossary(rm, lex, glossary)
+    return len(got)
+
+
+class TestGlossaryScreen:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.rsl")))
+    def test_fixtures_match_the_unscreened_oracle(self, name):
+        extra = {"SystemRules": fixture_text("system_rules.rsl")} if name == "billing_include.rsl" else None
+        assert_glossary_matches_oracle(fixture_text(name), extra)
+
+    def test_generated_models_match_the_unscreened_oracle(self):
+        hits = sum(assert_glossary_matches_oracle(print_model(random_model(seed))) for seed in range(300))
+        assert hits > 50
+
+    def test_spec_without_terms_analyzes_nothing(self, monkeypatch):
+        analyzed = count_analyze(monkeypatch)
+        _, diags = check_source('Actor a_1 "Client" : User [description "Clients pay bills"]\n')
+        assert diags == [] and analyzed == []
+
+    def test_only_fragments_with_a_hit_are_analyzed(self, monkeypatch):
+        rm, lex, glossary = glossary_inputs(fixture_text("billing_defects.rsl"))
+        with_hit = [
+            value
+            for elem in rm.effective_elements
+            for value in map(elem.fragment_value, ("name", "description"))
+            if value
+            and any(
+                t.surface.lower() in glossary.entries or t.lemma in glossary.entries
+                for t in oracle_analyze(value, lex)
+            )
+        ]
+        analyzed = count_analyze(monkeypatch)
+        assert by_code(check_glossary(rm, lex, glossary), "RSL-V002")
+        assert analyzed == with_hit
+
+
+def count_analyze(monkeypatch) -> list:
+    """Record the text of every `analyze` call that `checks` makes."""
+    analyzed = []
+
+    def counting(text, lex):
+        analyzed.append(text)
+        return real(text, lex)
+
+    real = checks.analyze
+    monkeypatch.setattr(checks, "analyze", counting)
+    return analyzed
+
+
+GLOSSARY_WORDS = [
+    "client", "clients", "Client", "CLIENTS", "buyer", "Buyers", "bill", "bills", "Bills",
+    "party", "parties", "Parties", "invoice", "invoices", "customer", "Customers",
+    "payment", "xyzzy", "Xyzzies", "42", "the", "of", "fatura", "faturas",
+]
+
+
+@st.composite
+def glossary_specs(draw):
+    words = st.lists(st.sampled_from(GLOSSARY_WORDS), min_size=1, max_size=6).map(" ".join)
+    chunks = []
+    language = draw(st.sampled_from([None, "English", "Portuguese", "Japanese"]))
+    if language:
+        chunks.append(f"LinguisticLanguage l_1 : {language}")
+    for i in range(draw(st.integers(0, 3))):
+        main = draw(st.sampled_from(["Customer", "Payment", "Document", "Fatura"]))
+        synonyms = draw(st.lists(st.sampled_from(["Client", "buyer", "bill", "party", "invoice", "xyzzy"]), max_size=3, unique=True))
+        clause = " [synonyms " + ", ".join(f'"{w}"' for w in synonyms) + "]" if synonyms else ""
+        chunks.append(f'Term t_{i} "{main}" : Noun{clause}')
+    for i in range(draw(st.integers(1, 5))):
+        clause = f' [description "{draw(words)}"]' if draw(st.booleans()) else ""
+        chunks.append(f'Actor a_{i} "{draw(words)}" : User{clause}')
+    return "\n".join(chunks) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(glossary_specs())
+def test_glossary_screen_matches_the_unscreened_oracle(source):
+    assert_glossary_matches_oracle(source)
 
 
 CYCLIC = (

@@ -1,9 +1,20 @@
 """Lexicon loading, tokenization, tagging, lemmatization."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rslkit
+from oracles import oracle_analyze
 from rslkit.lexicon import (
+    Lexicon,
     LexiconFormatError,
+    _parse_suffix_lines,
     analyze,
     builtin_lexicon,
     load_lexicon,
@@ -104,6 +115,100 @@ class TestLoading:
         (tok,) = analyze("whizzz", lex)
         assert tok.tags == frozenset({"VERB"})
         assert tok.lemma == "whize"
+
+
+class TestWordMemo:
+    def test_second_call_reads_the_memo(self):
+        lex = fresh(EN)
+        first = analyze("Print the invoices", lex)
+        assert set(lex.words) == {"Print", "the", "invoices"}
+        lex.entries.clear()  # the memo alone now answers
+        assert analyze("Print the invoices", lex) == first
+
+    def test_position_is_applied_outside_the_memo(self):
+        lex = fresh(EN)
+        assert analyze("Xyzzyq", lex)[0].tags == frozenset({"NOUN"})
+        assert analyze("send Xyzzyq", lex)[1].tags == frozenset({"PROPN"})
+        assert lex.tag("Xyzzyq") == (None, "xyzzyq")
+
+    def test_add_retags_the_word(self):
+        lex = fresh(EN)
+        assert analyze("xyzzyq", lex)[0].tags == frozenset({"NOUN"})
+        lex.add("xyzzyq", "xyz", "VERB")
+        (tok,) = analyze("xyzzyq", lex)
+        assert (tok.tags, tok.lemma) == (frozenset({"VERB"}), "xyz")
+
+    def test_loading_suffix_rules_retags_the_word(self):
+        lex = fresh(EN)
+        assert analyze("whizzz", lex)[0].tags == frozenset({"NOUN"})
+        _parse_suffix_lines(lex, "-zzz\tVERB\tzzz:ze\n", "extra.rules")
+        assert analyze("whizzz", lex)[0].tags == frozenset({"VERB"})
+
+    def test_memo_is_outside_equality_and_repr(self):
+        lex = fresh(EN)
+        before = repr(lex)
+        analyze("Print the invoices", lex)
+        assert lex == fresh(EN) and repr(lex) == before
+
+    def test_equal_length_lemmas_tie_alphabetically_under_any_hash_seed(self, tmp_path):
+        path = tmp_path / "tie.tsv"
+        path.write_text("bills\tbill\tNOUN\nbills\tbilt\tVERB\n", encoding="utf-8")
+        code = (
+            "from rslkit.lexicon import analyze, load_lexicon; "
+            f"print(analyze('bills', load_lexicon({str(path)!r}))[0].lemma)"
+        )
+        lemmas = []
+        for seed in range(1, 7):
+            env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": str(seed)}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            lemmas.append(out.stdout.strip())
+        assert lemmas == ["bill"] * 6
+
+
+SRC = str(Path(rslkit.__file__).resolve().parents[1])
+
+
+def fresh(lex: Lexicon) -> Lexicon:
+    """A copy of `lex` with its own entries and an empty word memo."""
+    return Lexicon(lex.language, {k: set(v) for k, v in lex.entries.items()}, list(lex.suffix_rules))
+
+
+def word_pool(lex: Lexicon) -> list[str]:
+    return sorted(w for w in lex.entries if w.isalpha())
+
+
+OOV = st.text("bcdfghjklmnpqrstvwxz", min_size=1, max_size=8)
+SUFFIXED = st.tuples(OOV, st.sampled_from(["ies", "tion", "ment", "ness", "ingly", "ly", "ing", "ed", "able", "ous", "s"]))
+WORD = st.one_of(
+    st.sampled_from(word_pool(EN) + word_pool(PT)),
+    OOV,
+    SUFFIXED.map("".join),
+    st.integers(0, 10**6).map(str),
+)
+
+
+@st.composite
+def fragments(draw):
+    words = draw(st.lists(WORD, min_size=1, max_size=8))
+    shaped = [draw(st.sampled_from([w, w.capitalize(), w.upper()])) for w in words]
+    seps = draw(st.lists(st.sampled_from([" ", ", ", ". ", "-", " ("]), min_size=len(shaped), max_size=len(shaped)))
+    return "".join(sep + w for sep, w in zip(seps, shaped))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fragments(), st.data())
+def test_tagger_matches_the_uncached_oracle(text, data):
+    for base in (EN, PT):
+        lex = fresh(base)
+        expected = oracle_analyze(text, lex)
+        assert analyze(text, lex) == expected
+        assert analyze(text, lex) == expected  # from the memo
+        # Adding an entry re-tags the word, memo or not.
+        word = data.draw(st.sampled_from([t.surface for t in expected]))
+        lex.add(word, "zz" + word.lower(), data.draw(st.sampled_from(["ADV", "VERB", "NOUN"])))
+        expected = oracle_analyze(text, lex)
+        assert analyze(text, lex) == expected
+        assert analyze(text, lex) == expected
 
 
 class TestSentences:
