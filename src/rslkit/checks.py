@@ -21,7 +21,7 @@ from .model import (
     Term,
     TextEdit,
 )
-from .rules import check_linguistic_rules
+from .rules import check_linguistic_rules, fresh_id
 from .workspace import ResolvedModel, Workspace, inline_include_fix
 
 
@@ -31,6 +31,7 @@ def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
     groups: dict[str, list] = {}
     for elem in rm.effective_elements:
         groups.setdefault(elem.id, []).append(elem)
+    taken = set(groups)
     diags = []
     for elem_id, group in groups.items():
         if len(group) < 2:
@@ -44,7 +45,7 @@ def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
             )
             fixes = ()
             if n >= 2 and elem.id_span is not None:
-                new_id = f"{elem_id}_{n}"
+                new_id = fresh_id(elem_id, taken)
                 fixes = (
                     QuickFix(f"Rename to '{new_id}'", (TextEdit(elem.id_span, new_id),)),
                 )

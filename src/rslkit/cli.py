@@ -52,9 +52,10 @@ def read_manifest(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         name, sep, rel = line.partition("=")
-        if not sep:
+        name, rel = name.strip(), rel.strip()
+        if not sep or not name or not rel:
             raise UsageError(f"bad manifest line '{line}'")
-        mapping[name.strip()] = str(base / rel.strip())
+        mapping[name] = str(base / rel)
     return mapping
 
 

@@ -21,9 +21,9 @@ import re
 from functools import cache
 from typing import Optional
 
-from .model import Field, Record
+from .model import POS_CATEGORIES, Field, Record
 
-UPOS_TAGS = {"VERB", "NOUN", "PROPN", "ADJ", "ADV", "DET", "ADP", "PRON", "CCONJ", "NUM"}
+UPOS_TAGS = frozenset(POS_CATEGORIES.values())
 
 BUILTIN_LEXICONS = {"English": "en", "Portuguese": "pt"}
 # The shipped lexicons, read by path: `importlib.resources` would import

@@ -271,20 +271,10 @@ class Element(Record):
         return self.name if self.name is not None else self.id
 
     def fragment_value(self, fragment: str) -> Optional[str]:
-        if fragment == "id":
-            return self.id
-        if fragment == "name":
-            return self.name
-        if fragment == "description":
-            return self.description
-        return None
+        return getattr(self, fragment) if fragment in FRAGMENTS else None
 
     def fragment_span(self, fragment: str) -> Optional[SourceSpan]:
-        return {
-            "id": self.id_span,
-            "name": self.name_span,
-            "description": self.description_span,
-        }.get(fragment)
+        return getattr(self, fragment + "_span") if fragment in FRAGMENTS else None
 
     def exact_fragment_span(self, fragment: str) -> Optional[SourceSpan]:
         """Content span of a fragment, only when its offsets map 1:1 to the file."""
@@ -303,15 +293,11 @@ class DataEntity(Element):
     is_a_span: Optional[SourceSpan] = SPAN
     part_of_span: Optional[SourceSpan] = SPAN
 
-    kind = "DataEntity"
-
 
 class Actor(Element):
     actor_type: str = "User"
     is_a: Optional[str] = None
     is_a_span: Optional[SourceSpan] = SPAN
-
-    kind = "Actor"
 
 
 class UseCase(Element):
@@ -327,14 +313,10 @@ class UseCase(Element):
     data_entity_span: Optional[SourceSpan] = SPAN
     extends_span: Optional[SourceSpan] = SPAN
 
-    kind = "UseCase"
-
 
 class Term(Element):
     pos_category: str = "Noun"
     synonyms: tuple[str, ...] = ()
-
-    kind = "Term"
 
 
 class LinguisticRuleDecl(Element):
@@ -344,26 +326,18 @@ class LinguisticRuleDecl(Element):
     pattern: Optional[PatternExpr] = None
     severity: str = "Error"
 
-    kind = "LinguisticRule"
-
 
 class LinguisticLanguageDecl(Element):
     language: str = "English"
-
-    kind = "LinguisticLanguage"
 
 
 class Stakeholder(Element):
     stakeholder_type: str = "Other"
     stakeholder_subtype: Optional[str] = None
 
-    kind = "Stakeholder"
-
 
 class FunctionalRequirement(Element):
     fr_type: str = "Functional"
-
-    kind = "FunctionalRequirement"
 
 
 class IncludeDecl(Record):
@@ -389,12 +363,14 @@ class Model(Record):
 # --- element kinds --------------------------------------------------------------
 #
 # One row per kind drives parsing, printing, JSON and text generation,
-# reference binding and the V003 hierarchy check. `type` is the head's
-# `: Type`: (text label, field, value when omitted, allowed values or None
-# for any identifier, message for a value not allowed); only Stakeholder
-# has a `.Subtype`. `json` is the kind's group in the JSON report, None to
-# leave it out. A clause is (keyword, field, shape, arg, span field), and
-# the span field, if any, keeps the clause's source span. Shapes:
+# reference binding and the V003 hierarchy check. The key is the kind's
+# name, and each class's `kind` is set from it after the table. `type` is
+# the head's `: Type`: (text label, field, value when omitted, allowed
+# values or None for any identifier, message for a value not allowed);
+# only Stakeholder has a `.Subtype`. `json` is the kind's group in the
+# JSON report, None to leave it out. A clause is (keyword, field, shape,
+# arg, span field), and the span field, if any, keeps the clause's source
+# span. Shapes:
 #   string     a string
 #   ref        id of an element of kind arg; the span covers the id
 #   parent     hierarchy edge to an element of kind arg; the span runs from the keyword
@@ -485,5 +461,8 @@ KIND_TABLE = {
         "clauses": (DESCRIPTION,),
     },
 }
+
+for _kind, _row in KIND_TABLE.items():
+    _row["class"].kind = _kind
 
 ELEMENT_KINDS = tuple(KIND_TABLE)

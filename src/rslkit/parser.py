@@ -140,14 +140,7 @@ class _Parser:
                         if model.language_decl is None:
                             model.language_decl = elem
                         else:
-                            self.diagnostics.append(
-                                Diagnostic(
-                                    "Error",
-                                    "RSL-S005",
-                                    "Duplicate LinguisticLanguage declaration",
-                                    elem.span,
-                                )
-                            )
+                            self.error("RSL-S005", "Duplicate LinguisticLanguage declaration", elem.span)
             if len(self.diagnostics) > before:
                 self.skip_to_top()
         model.end_span = self.span(len(kinds) - 1)
@@ -233,9 +226,7 @@ class _Parser:
             ok = self.parse_body(elem)
         elem.span = self.span_from(start)
         if ok and elem.kind == "LinguisticRule" and elem.pattern is None:
-            self.diagnostics.append(
-                Diagnostic("Error", "RSL-S002", f"Linguistic rule '{elem.id}' has no pattern", elem.id_span)
-            )
+            self.error("RSL-S002", f"Linguistic rule '{elem.id}' has no pattern", elem.id_span)
         return elem
 
     # -- bodies ------------------------------------------------------------
@@ -275,26 +266,15 @@ class _Parser:
             pk = 0
             for attr in elem.attributes:
                 if attr.id in seen:
-                    self.diagnostics.append(
-                        Diagnostic("Error", "RSL-S006", f"Duplicate attribute id '{attr.id}'", attr.span)
-                    )
+                    self.error("RSL-S006", f"Duplicate attribute id '{attr.id}'", attr.span)
                 seen.add(attr.id)
                 if "PrimaryKey" in attr.constraints:
                     pk += 1
             if pk > 1:
-                self.diagnostics.append(
-                    Diagnostic("Error", "RSL-S006", "More than one PrimaryKey attribute", elem.attributes[-1].span)
-                )
+                self.error("RSL-S006", "More than one PrimaryKey attribute", elem.attributes[-1].span)
         if elem.kind == "Term" and elem.name is not None:
             if elem.name.lower() in (s.lower() for s in elem.synonyms):
-                self.diagnostics.append(
-                    Diagnostic(
-                        "Error",
-                        "RSL-S007",
-                        f"Term '{elem.id}' lists its own main word among its synonyms",
-                        elem.name_span,
-                    )
-                )
+                self.error("RSL-S007", f"Term '{elem.id}' lists its own main word among its synonyms", elem.name_span)
 
     # Each clause-value parser takes the index of the clause keyword and
     # returns the value of the clause's field, or None after reporting an

@@ -18,7 +18,6 @@ from .model import (
     LitPart,
     PosPart,
     QuickFix,
-    SourceSpan,
     TextEdit,
 )
 from .printer import pattern_atom, render_pattern
@@ -31,13 +30,14 @@ def _camel(name: str) -> str:
     return "".join(w[:1].upper() + w[1:] for w in WORD_RE.findall(name))
 
 
-def _fresh_id(kind: str, candidate: str, taken: set[str]) -> str:
-    base = f"{ID_PREFIXES.get(kind, 'el')}_{_camel(candidate)}"
+def fresh_id(base: str, taken: set[str]) -> str:
+    """`base`, else the first free `{base}_{n}` with n >= 2; the id chosen joins `taken`."""
     new_id = base
     n = 1
     while new_id in taken:
         n += 1
         new_id = f"{base}_{n}"
+    taken.add(new_id)
     return new_id
 
 
@@ -111,21 +111,12 @@ def check_linguistic_rules(
                 if ref is not None and result.candidate and ref.fragment == "name" and append_at is not None:
                     key = (ref.element_kind, result.candidate)
                     if key not in creations:
-                        new_id = _fresh_id(ref.element_kind, result.candidate, taken_ids)
-                        taken_ids.add(new_id)
+                        prefix = ID_PREFIXES.get(ref.element_kind, "el")
+                        new_id = fresh_id(f"{prefix}_{_camel(result.candidate)}", taken_ids)
                         decl = f'{ref.element_kind} {new_id} "{result.candidate}" : Other []'
-                        insert = SourceSpan(
-                            rm.file,
-                            append_at.start_line,
-                            append_at.start_col,
-                            append_at.start_line,
-                            append_at.start_col,
-                            append_at.offset,
-                            0,
-                        )
                         creations[key] = QuickFix(
                             f"Create '{ref.element_kind}' with name '{result.candidate}'",
-                            (TextEdit(insert, f"\n{decl}\n"),),
+                            (TextEdit(append_at.slice(0, 0), f"\n{decl}\n"),),
                         )
                     fixes = (creations[key],)
                 if exact is not None:

@@ -52,6 +52,14 @@ class TestUniqueIds:
         _, diags = check_source("Actor a_1 : User\nDataEntity e_1 : Other\n")
         assert by_code(diags, "RSL-V001") == []
 
+    def test_rename_skips_an_id_already_in_use(self):
+        src = "Actor a_X : User\nActor a_X : User\nActor a_X_2 : User\n"
+        _, diags = check_source(src)
+        fixes = [f for d in by_code(diags, "RSL-V001") for f in d.fixes]
+        assert [f.title for f in fixes] == ["Rename to 'a_X_3'"]
+        _, diags2 = check_source(apply_edits(src, [e for f in fixes for e in f.edits]))
+        assert by_code(diags2, "RSL-V001") == []
+
 
 GLOSSARY = 'Term t_Customer "Customer" : Noun [synonyms "Client"]\n'
 

@@ -99,6 +99,15 @@ class TestCheck:
         code, out, _ = run(["check", str(a), str(b), "--system", f"other={b}"], capsys)
         assert code == 1 and "RSL-V001" in out
 
+    @pytest.mark.parametrize("line", ["=system_rules.rsl", "SystemRules="])
+    def test_manifest_line_without_id_or_path_is_a_usage_error(self, line, tmp_path, capsys):
+        doc = copy_fixture(tmp_path, "billing_clean.rsl")
+        copy_fixture(tmp_path, "system_rules.rsl")
+        manifest = tmp_path / "workspace.txt"
+        manifest.write_text(line + "\n")
+        code, out, err = run(["check", str(doc), "--manifest", str(manifest)], capsys)
+        assert (code, out, err) == (2, "", f"error: bad manifest line '{line}'\n")
+
     def test_manifest_id_equal_to_a_stem_of_another_file_is_a_usage_error(self, tmp_path, capsys):
         doc = copy_fixture(tmp_path, "billing_clean.rsl")
         manifest = tmp_path / "workspace.txt"
@@ -153,6 +162,12 @@ class TestFix:
         after_first = doc.read_text()
         run(["fix", "--apply", "--create-missing", str(doc)], capsys)
         assert doc.read_text() == after_first
+
+    def test_rename_avoids_an_id_already_in_use(self, tmp_path, capsys):
+        doc = tmp_path / "spec.rsl"
+        doc.write_text("Actor a_X : User\nActor a_X : User\nActor a_X_2 : User\n")
+        assert run(["fix", "--apply", str(doc)], capsys)[0] == 0
+        assert doc.read_text() == "Actor a_X : User\nActor a_X_3 : User\nActor a_X_2 : User\n"
 
     def test_without_create_missing_rule_violation_remains(self, tmp_path, capsys):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")

@@ -19,7 +19,7 @@ from oracles import (
     oracle_text_fields,
 )
 from rslkit.docgen import _text_fields, build_json_doc
-from rslkit.model import Model
+from rslkit.model import KIND_TABLE, Element, Model
 from rslkit.parser import parse
 from rslkit.printer import print_model, render_pattern
 from rslkit.workspace import Workspace, add_system, resolve
@@ -110,6 +110,12 @@ def assert_same_outputs(model: Model, ws: Workspace):
         assert _text_fields(new, elem) == oracle_text_fields(old, elem)
         if elem.kind == "LinguisticRule":
             assert render_pattern(elem.pattern) == oracle_render_pattern(elem.pattern)
+
+
+def test_each_class_is_named_by_its_table_key():
+    assert list(KIND_TABLE) == KINDS
+    assert [row["class"].kind for row in KIND_TABLE.values()] == KINDS
+    assert Element.kind == "Element"
 
 
 def test_generated_models_match_the_oracles():

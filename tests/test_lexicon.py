@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import rslkit
 from oracles import oracle_analyze
 from rslkit.lexicon import (
+    UPOS_TAGS,
     Lexicon,
     LexiconFormatError,
     _parse_suffix_lines,
@@ -20,9 +21,15 @@ from rslkit.lexicon import (
     load_lexicon,
     split_sentences,
 )
+from rslkit.model import POS_CATEGORIES
 
 EN = builtin_lexicon("English")
 PT = builtin_lexicon("Portuguese")
+
+
+def test_upos_tags_are_the_tags_of_the_pos_categories():
+    assert UPOS_TAGS == set(POS_CATEGORIES.values())
+    assert len(UPOS_TAGS) == len(POS_CATEGORIES)
 
 
 class TestBuiltinEnglish:

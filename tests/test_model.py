@@ -3,8 +3,10 @@
 import pytest
 
 from rslkit.model import (
+    FRAGMENTS,
     AltPart,
     Diagnostic,
+    Element,
     FragmentRefPart,
     LitPart,
     OverlappingEdits,
@@ -63,6 +65,29 @@ class TestSpans:
 
     def test_different_files_never_overlap(self):
         assert not span(0, 5, "a").overlaps(span(0, 5, "b"))
+
+
+class TestFragments:
+    ELEM = Element(
+        id="uc_1",
+        name="Pay",
+        description="Pays.",
+        span=span(0, 30),
+        id_span=span(8, 4),
+        name_span=span(14, 3),
+        description_span=span(24, 5),
+    )
+
+    def test_each_fragment_reads_its_field_and_span(self):
+        values = [self.ELEM.fragment_value(f) for f in FRAGMENTS]
+        spans = [self.ELEM.fragment_span(f) for f in FRAGMENTS]
+        assert values == ["uc_1", "Pay", "Pays."]
+        assert [(s.offset, s.length) for s in spans] == [(8, 4), (14, 3), (24, 5)]
+
+    @pytest.mark.parametrize("fragment", ["title", "span", "kind", "", "id_span"])
+    def test_unknown_fragment_is_none(self, fragment):
+        assert self.ELEM.fragment_value(fragment) is None
+        assert self.ELEM.fragment_span(fragment) is None
 
 
 class TestPatternRendering:
