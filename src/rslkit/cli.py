@@ -7,6 +7,7 @@ refused), 2 usage or I/O failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -408,7 +409,29 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# While a command runs, the youngest generation is collected after this many
+# net allocations, not CPython's 700, so the collector does not re-scan parse
+# trees that live until exit. A run leaves a constant amount of cyclic
+# garbage (tests/test_gc.py), so collecting rarely costs no memory.
+GEN0_THRESHOLD = 100_000
+
+
 def main(argv=None) -> int:
+    """Run one command under the GC policy above, then restore the caller's GC state."""
+    thresholds = gc.get_threshold()
+    freeze = gc.get_freeze_count() == 0  # objects someone else froze stay theirs to unfreeze
+    if freeze:
+        gc.freeze()  # the import-time heap: nothing in it is freed before exit
+    gc.set_threshold(GEN0_THRESHOLD, *thresholds[1:])
+    try:
+        return run_command(argv)
+    finally:
+        gc.set_threshold(*thresholds)
+        if freeze:
+            gc.unfreeze()
+
+
+def run_command(argv=None) -> int:
     ap = make_parser()
     try:
         args = ap.parse_args(argv)

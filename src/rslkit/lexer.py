@@ -4,13 +4,17 @@ One compiled regular expression scans the source: each match skips the
 whitespace and `//` comments before a token, then matches an identifier,
 a digit run, a string, a punctuation mark or a single other character.
 `tokenize` returns one `Tokens` value: four parallel lists (`kinds`,
-`texts`, `starts`, `ends`) plus a shared line-start table of the source.
-A punctuation mark's kind is the mark itself (`":"`, `"["`, ...), so a
-parser tests it with one comparison. There are no token objects: the
-parser reads these lists by index, a line and column span is computed
-from the line table with `bisect` only when someone asks for it, and
-`len(tokens)` is kept only so that the benchmark's trace of `tokenize`
-can count tokens.
+`texts`, `starts`, `ends`) plus the source's `LineTable`. A punctuation
+mark's kind is the mark itself (`":"`, `"["`, ...), so a parser tests it
+with one comparison. There are no token objects: the parser reads these
+lists by index, and `len(tokens)` is kept only so that the benchmark's
+trace of `tokenize` can count tokens.
+
+A span from `LineTable.span` holds the file, offset and length and the
+table. Its line and column are looked up with `bisect` the first time
+one of them is read, and the table finds the source's line starts on its
+first lookup. A run that reads no line, such as a clean `gen`, never
+scans for them.
 
 Identifiers start with a character for which `str.isalpha()` holds (or
 `_`) and go on over `str.isalnum()` characters (or `_`); digit runs are
@@ -46,38 +50,50 @@ _WORD_TAIL_RE = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-class LineTable:
-    """Line-start offsets of one source, for turning offsets into spans."""
+_new_span = object.__new__  # a span with its line and column slots unset
 
-    __slots__ = ("file", "starts")
+
+class LineTable:
+    """Turns offsets into spans of one source; line starts are found on the first lookup."""
+
+    __slots__ = ("file", "source", "starts")
 
     def __init__(self, source: str, file: str):
         self.file = file
-        starts = [0]
-        i = source.find("\n")
-        while i != -1:
-            starts.append(i + 1)
-            i = source.find("\n", i + 1)
-        self.starts = starts
+        self.source = source
+        self.starts: list[int] | None = None
 
     def span(self, start: int, end: int) -> SourceSpan:
-        """Span of source[start:end]; lines and columns are 1-based."""
-        starts = self.starts
-        start_line = bisect_right(starts, start)
-        end_line = bisect_right(starts, end, start_line - 1)
-        return SourceSpan(
-            self.file,
-            start_line,
-            start - starts[start_line - 1] + 1,
-            end_line,
-            end - starts[end_line - 1] + 1,
-            start,
-            end - start,
-        )
+        """Span of source[start:end]; its lines and columns are looked up when first read."""
+        span = _new_span(SourceSpan)
+        span.file = self.file
+        span.offset = start
+        span.length = end - start
+        span._lines = self
+        return span
 
     def content_span(self, start: int, end: int) -> SourceSpan:
         """Span inside the quotes of the string literal at source[start:end]."""
         return self.span(start + 1, max(end - 1, start + 1))
+
+    def line_cols(self, start: int, end: int) -> tuple[int, int, int, int]:
+        """(start line, start column, end line, end column) of source[start:end], 1-based."""
+        starts = self.starts
+        if starts is None:
+            starts = self.starts = line_starts(self.source)
+        start_line = bisect_right(starts, start)
+        end_line = bisect_right(starts, end, start_line - 1)
+        return start_line, start - starts[start_line - 1] + 1, end_line, end - starts[end_line - 1] + 1
+
+
+def line_starts(source: str) -> list[int]:
+    """Offset of the first character of each line of source."""
+    starts = [0]
+    i = source.find("\n")
+    while i != -1:
+        starts.append(i + 1)
+        i = source.find("\n", i + 1)
+    return starts
 
 
 class Tokens:

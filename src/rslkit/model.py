@@ -3,20 +3,21 @@
 Everything here is immutable-by-convention; spans never participate in
 structural equality so that round-trip tests can compare reparsed models.
 
-Every value class in rslkit is a `Record`: a slotted class whose fields
-are its annotations, in order, base class fields first, with the class
-attribute of the same name as the default. A `Field` default keeps its
-field out of `==` or out of `repr()`, and an empty list or dict default
-is built anew for each instance. Each class gets `__init__` (positional
-or keyword arguments, plain assignment), `__eq__` (same class only, over
-the compared fields) and, with `frozen=True`, `__hash__` over those
-fields, from one `exec`; the other records are unhashable. `frozen` only
-adds the hash: nothing stops an assignment. `_fields` lists the field
-names.
+Every value class in rslkit but `SourceSpan` is a `Record`: a slotted
+class whose fields are its annotations, in order, base class fields
+first, with the class attribute of the same name as the default. A
+`Field` default keeps its field out of `==` or out of `repr()`, and an
+empty list or dict default is built anew for each instance. Each class
+gets `__init__` (positional or keyword arguments, plain assignment),
+`__eq__` (same class only, over the compared fields) and, with
+`frozen=True`, `__hash__` over those fields, from one `exec`; the other
+records are unhashable. `frozen` only adds the hash: nothing stops an
+assignment. `_fields` lists the field names.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 
@@ -123,16 +124,52 @@ SEVERITIES = ("Error", "Warning", "Info")
 FRAGMENTS = ("id", "name", "description")
 
 
-class SourceSpan(Record, frozen=True):
-    """Region of a source file; lines/cols are 1-based, offset is 0-based."""
+_LINE_COLS = ("start_line", "start_col", "end_line", "end_col")
+_SPAN_FIELDS = ("file", *_LINE_COLS, "offset", "length")
+_span_values = attrgetter(*_SPAN_FIELDS)
 
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    offset: int
-    length: int
+
+class SourceSpan:
+    """Region of a source file; lines/cols are 1-based, offset is 0-based.
+
+    The seven-argument constructor gives every field up front. The spans
+    of a parse come from `lexer.LineTable.span` instead: they hold the
+    file, offset, length and the line table, and leave the four line and
+    column slots unset until one is first read, when `__getattr__` fills
+    all four from the table. `==`, `hash` and `repr()` read all seven
+    fields, so a lazy span equals the eager span with the same values.
+    """
+
+    __slots__ = (*_SPAN_FIELDS, "_lines")
+
+    def __init__(self, file, start_line, start_col, end_line, end_col, offset, length):
+        self.file = file
+        self.start_line = start_line
+        self.start_col = start_col
+        self.end_line = end_line
+        self.end_col = end_col
+        self.offset = offset
+        self.length = length
+        self._lines = None
+
+    def __getattr__(self, name):  # reached only for a slot that is unset
+        if name not in _LINE_COLS:
+            raise AttributeError(name)
+        self.start_line, self.start_col, self.end_line, self.end_col = self._lines.line_cols(
+            self.offset, self.offset + self.length
+        )
+        return getattr(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is SourceSpan:
+            return _span_values(self) == _span_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_span_values(self))
+
+    def __repr__(self) -> str:
+        return "SourceSpan(" + ", ".join(f"{f}={v!r}" for f, v in zip(_SPAN_FIELDS, _span_values(self))) + ")"
 
     @property
     def end_offset(self) -> int:
@@ -146,6 +183,8 @@ class SourceSpan(Record, frozen=True):
 
     def slice(self, start: int, end: int) -> "SourceSpan":
         """Characters start..end of a single-line span."""
+        if self._lines is not None:
+            return self._lines.span(self.offset + start, self.offset + end)
         return SourceSpan(
             self.file,
             self.start_line,

@@ -10,8 +10,9 @@ return the index of the token they consumed, or None. The hot paths (the
 element head, the clause dispatch of `parse_body`, `parse_attribute`,
 `parse_list` and `skip_to_top`) test `kinds[pos]` and `texts[pos]` from
 locals, and a punctuation token's kind is the mark itself, so each test
-is one comparison. A span is built from the offsets only where the model
-or a diagnostic keeps it (`span`, `span_from`, `content_span`).
+is one comparison. A span is made only where the model or a diagnostic
+keeps one (`span`, `span_from`, `content_span`), and it is two offsets
+until someone reads its line or column (see `lexer.LineTable`).
 """
 
 from __future__ import annotations

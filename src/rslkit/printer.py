@@ -29,27 +29,30 @@ def pattern_atom(part) -> str:
     return f"{part.element_kind}.{part.fragment}"
 
 
-def print_pattern(pattern: PatternExpr) -> str:
-    def text(part):
-        if isinstance(part, LitPart):
-            return quote(part.text)
-        if isinstance(part, AltPart):
-            return "(" + " | ".join(text(o) for o in part.options) + ")"
-        return pattern_atom(part)
+# The part printers are module functions: a local function that calls
+# itself is a reference cycle, left as garbage by every call.
 
-    return " + ".join(text(p) for p in pattern.parts)
+
+def print_pattern(pattern: PatternExpr) -> str:
+    return " + ".join(_printed(p) for p in pattern.parts)
+
+
+def _printed(part) -> str:
+    if isinstance(part, AltPart):
+        return "(" + " | ".join(_printed(o) for o in part.options) + ")"
+    return quote(part.text) if isinstance(part, LitPart) else pattern_atom(part)
 
 
 def render_pattern(pattern: PatternExpr) -> str:
     """Pattern for messages: each non-literal part parenthesized, literals unescaped."""
+    return " + ".join(_rendered(p) for p in pattern.parts)
 
-    def text(part):
-        if isinstance(part, LitPart):
-            return f'"{part.text}"'
-        options = part.options if isinstance(part, AltPart) else (part,)
-        return "(" + " | ".join(text(o) if isinstance(o, LitPart) else pattern_atom(o) for o in options) + ")"
 
-    return " + ".join(text(p) for p in pattern.parts)
+def _rendered(part) -> str:
+    if isinstance(part, LitPart):
+        return f'"{part.text}"'
+    options = part.options if isinstance(part, AltPart) else (part,)  # an option is a literal or an atom
+    return "(" + " | ".join(f'"{o.text}"' if isinstance(o, LitPart) else pattern_atom(o) for o in options) + ")"
 
 
 def print_element(elem: Element) -> str:
