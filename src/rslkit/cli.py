@@ -304,6 +304,7 @@ def cmd_fix(args) -> int:
         if new != old:
             fixed[path] = (old, new)
 
+    any_fixes = bool(fixed)  # before --apply drops the files that changed on disk
     if args.apply:
         for path, (old, new) in list(fixed.items()):
             if not unchanged_on_disk(path, old):
@@ -329,7 +330,7 @@ def cmd_fix(args) -> int:
         for name in systems_of_file[path]:
             ws.register(name, new, path)
     post = check_all(ws, targets, lexicons)
-    if not fixed and not notices:
+    if not any_fixes and not notices:
         print("no applicable fixes")
     elif args.apply:
         print(f"applied fixes to {len(fixed)} file(s)")

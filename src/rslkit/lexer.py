@@ -24,6 +24,10 @@ outside ASCII, so the pattern matches ASCII-started words and digit runs
 directly and any other character takes a per-character path that applies
 the exact predicates.
 
+A UTF-8 byte-order mark (U+FEFF) at offset 0 is skipped, not tokenized.
+Offsets still index the text as read, so the mark keeps offset 0 and a
+column on line 1 counts it; anywhere else U+FEFF is an error token.
+
 Never raises on malformed input; lexical problems become error tokens
 that the parser turns into diagnostics.
 """
@@ -128,6 +132,8 @@ def tokenize(source: str, file: str = "<memory>") -> Tokens:
     kind_append, text_append, start_append, end_append = kinds.append, texts.append, starts.append, ends.append
     scan = _TOKEN_RE.finditer
     pos, n = 0, len(source)
+    if source.startswith("\ufeff"):
+        pos = 1  # skip a byte-order mark; offsets still count it
     while True:
         for m in scan(source, pos):
             group = m.lastgroup

@@ -1,12 +1,24 @@
 """Recursive-descent parser with recovery.
 
-Syntax errors become RSL-S0xx diagnostics and the parser skips ahead to
-the next top-level keyword, so every well-formed element in a broken
-document still reaches the later checks.
+Syntax errors become RSL-S0xx diagnostics, so every well-formed element
+in a broken document still reaches the later checks. A parser that cannot
+go on reports why and gives up with `raise self.fail(...)` (or through
+`expect`/`expected`, which do the same); it never returns a failure
+value. `_GiveUp` is caught in exactly two places:
+
+- `parse_document`, around each declaration: a declaration that gives up
+  is dropped, and `skip_to_top` resumes at the next top-level keyword at
+  bracket depth 0, as after any declaration that reported an error.
+- `parse_body`, around the clause loop: an element body that breaks off
+  keeps the clauses read before the break, and the element is kept.
+
+Errors that do not stop the parse (S005, S006, S007, a rule with no
+pattern, a body cut off by the end of input) are only recorded by `error`.
 
 The parser reads the lexer's token arrays by index and never builds a
-token object. `pos` is the index of the next token; `accept` and `expect`
-return the index of the token they consumed, or None. The hot paths (the
+token object. `pos` is the index of the next token; `accept` returns the
+index of the token it consumed, or None when the optional token is
+absent, and `expect` returns that index or gives up. The hot paths (the
 element head, the clause dispatch of `parse_body`, `parse_attribute`,
 `parse_list` and `skip_to_top`) test `kinds[pos]` and `texts[pos]` from
 locals, and a punctuation token's kind is the mark itself, so each test
@@ -17,7 +29,7 @@ until someone reads its line or column (see `lexer.LineTable`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .lexer import tokenize
 from .model import (
@@ -46,6 +58,10 @@ TOP_KEYWORDS = set(ELEMENT_KINDS) | INCLUDE_KEYWORDS
 BODY_KEYWORDS = {c[0] for row in KIND_TABLE.values() for c in row["clauses"]}
 
 
+class _GiveUp(Exception):
+    """A parser gave up after reporting why; see the module docstring for where it is caught."""
+
+
 class _Parser:
     def __init__(self, source: str, file: str):
         tokens = tokenize(source, file)
@@ -68,23 +84,25 @@ class _Parser:
             return pos
         return None
 
-    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> Optional[int]:
+    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> int:
         pos = self.accept(kind, text)
         if pos is None:
             self.expected(self.pos, what or text or kind)
         return pos
 
-    def expected(self, pos: int, want: str) -> None:
-        """Stop at token pos and report that it is not the `want` the grammar needs.
-
-        Returns None, so a parser that gives up can `return self.expected(...)`.
-        """
+    def expected(self, pos: int, want: str) -> NoReturn:
+        """Stop at token pos, report that it is not the `want` the grammar needs, and give up."""
         self.pos = pos
-        self.error("RSL-S002", f"Expected {want} but found '{self.texts[pos] or 'end of input'}'")
+        raise self.fail("RSL-S002", f"Expected {want} but found '{self.texts[pos] or 'end of input'}'")
 
     def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
         span = span or self.span(self.pos)
         self.diagnostics.append(Diagnostic("Error", code, message, span))
+
+    def fail(self, code: str, message: str, span: Optional[SourceSpan] = None) -> _GiveUp:
+        """Report an error that stops the current parser; the caller writes `raise self.fail(...)`."""
+        self.error(code, message, span)
+        return _GiveUp()
 
     def span(self, i: int) -> SourceSpan:
         return self.lines.span(self.starts[i], self.ends[i])
@@ -117,31 +135,26 @@ class _Parser:
     def parse_document(self) -> Model:
         model = Model(file=self.file)
         kinds, texts = self.kinds, self.texts
-        while True:
+        while kinds[self.pos] != "end":
             pos = self.pos
-            kind = kinds[pos]
-            if kind == "end":
-                break
             text = texts[pos]
-            if kind != "identifier" or text not in TOP_KEYWORDS:
-                self.error("RSL-S001", f"Unknown declaration '{text}'", self.span(pos))
-                self.pos = pos + 1
-                self.skip_to_top()
-                continue
             before = len(self.diagnostics)
-            if text in INCLUDE_KEYWORDS:
-                inc = self.parse_include()
-                if inc is not None:
-                    model.includes.append(inc)
-            else:
-                elem = self.parse_element()
-                if elem is not None:
+            try:
+                if kinds[pos] != "identifier" or text not in TOP_KEYWORDS:
+                    self.pos = pos + 1
+                    raise self.fail("RSL-S001", f"Unknown declaration '{text}'", self.span(pos))
+                if text in INCLUDE_KEYWORDS:
+                    model.includes.append(self.parse_include())
+                else:
+                    elem = self.parse_element()
                     model.elements.append(elem)
                     if elem.kind == "LinguisticLanguage":
                         if model.language_decl is None:
                             model.language_decl = elem
                         else:
                             self.error("RSL-S005", "Duplicate LinguisticLanguage declaration", elem.span)
+            except _GiveUp:
+                pass
             if len(self.diagnostics) > before:
                 self.skip_to_top()
         model.end_span = self.span(len(kinds) - 1)
@@ -149,44 +162,33 @@ class _Parser:
 
     # -- includes ----------------------------------------------------------
 
-    def parse_include(self) -> Optional[IncludeDecl]:
+    def parse_include(self) -> IncludeDecl:
         start = self.pos
         self.pos = start + 1
         mode = self.texts[start]
-        element_kind = None
-        element_id = None
+        element_kind = element_id = None
         if mode == "Include":
             kind_i = self.expect("identifier", what="an element kind")
-            if kind_i is None:
-                return None
             element_kind = self.texts[kind_i]
             if element_kind not in ELEMENT_KINDS:
-                self.error("RSL-S004", f"Unknown element kind '{element_kind}'", self.span(kind_i))
-                return None
-        if self.expect("identifier", "fromSystem") is None:
-            return None
+                raise self.fail("RSL-S004", f"Unknown element kind '{element_kind}'", self.span(kind_i))
+        self.expect("identifier", "fromSystem")
         sys_i = self.expect("identifier", what="a system name")
-        if sys_i is None:
-            return None
         if mode == "Include":
-            if self.expect("identifier", "element") is None:
-                return None
-            id_i = self.expect("identifier", what="an element id")
-            if id_i is None:
-                return None
-            element_id = self.texts[id_i]
+            self.expect("identifier", "element")
+            element_id = self.texts[self.expect("identifier", what="an element id")]
         return IncludeDecl(mode, self.texts[sys_i], element_kind, element_id, self.span_from(start))
 
     # -- elements ----------------------------------------------------------
 
-    def parse_element(self) -> Optional[Element]:
+    def parse_element(self) -> Element:
         """`Kind id ["Name"] [: Type[.Subtype]] [[ clauses ]]`, the head read inline."""
         kinds, texts = self.kinds, self.texts
         start = self.pos
         row = KIND_TABLE[texts[start]]
         id_i = start + 1
         if kinds[id_i] != "identifier":
-            return self.expected(id_i, "an identifier")
+            self.expected(id_i, "an identifier")
         pos = id_i + 1
         name_i = type_i = subtype_i = None
         if kinds[pos] == "string":
@@ -195,13 +197,13 @@ class _Parser:
         if kinds[pos] == ":":
             pos += 1
             if kinds[pos] != "identifier":
-                return self.expected(pos, "a type")
+                self.expected(pos, "a type")
             type_i = pos
             pos += 1
             if kinds[pos] == "." and row.get("subtype"):
                 pos += 1
                 if kinds[pos] != "identifier":
-                    return self.expected(pos, "a subtype")
+                    self.expected(pos, "a subtype")
                 subtype_i = pos
                 pos += 1
         self.pos = pos
@@ -209,8 +211,7 @@ class _Parser:
         _, type_field, default, allowed, unknown = row["type"]
         type_text = default if type_i is None else texts[type_i]
         if allowed is not None and type_text not in allowed:
-            self.error("RSL-S004", unknown.format(type_text), self.span(id_i if type_i is None else type_i))
-            return None
+            raise self.fail("RSL-S004", unknown.format(type_text), self.span(id_i if type_i is None else type_i))
         elem = row["class"](
             id=texts[id_i],
             name=None if name_i is None else texts[name_i],
@@ -236,30 +237,30 @@ class _Parser:
         """Clauses up to the closing `]`; each keyword dispatches through `_CLAUSES`."""
         kinds, texts = self.kinds, self.texts
         clauses = _CLAUSES[elem.kind]
-        while True:
-            pos = self.pos
-            kind = kinds[pos]
-            if kind == "]":
+        try:
+            while True:
+                pos = self.pos
+                kind = kinds[pos]
+                if kind == "]":
+                    self.pos = pos + 1
+                    self.finish_body(elem)
+                    return True
+                if kind == "end":
+                    self.error("RSL-S002", "Expected ']' but found end of input")
+                    self.finish_body(elem)
+                    return False
+                keyword = texts[pos]
+                if kind != "identifier" or keyword not in BODY_KEYWORDS:
+                    raise self.fail("RSL-S002", f"Unexpected token '{keyword}' in element body", self.span(pos))
                 self.pos = pos + 1
-                self.finish_body(elem)
-                return True
-            if kind == "end":
-                self.error("RSL-S002", "Expected ']' but found end of input")
-                self.finish_body(elem)
-                return False
-            keyword = texts[pos]
-            if kind != "identifier" or keyword not in BODY_KEYWORDS:
-                self.error("RSL-S002", f"Unexpected token '{keyword}' in element body", self.span(pos))
-                return False
-            self.pos = pos + 1
-            clause = clauses.get(keyword)
-            if clause is None:
-                self.error("RSL-S002", f"Clause '{keyword}' is not allowed in a {elem.kind} body", self.span(pos))
-                return False
-            value = _CLAUSE_VALUE[clause[2]](self, elem, pos, clause)
-            if value is None:
-                return False
-            setattr(elem, clause[1], value)
+                clause = clauses.get(keyword)
+                if clause is None:
+                    raise self.fail(
+                        "RSL-S002", f"Clause '{keyword}' is not allowed in a {elem.kind} body", self.span(pos)
+                    )
+                setattr(elem, clause[1], _CLAUSE_VALUE[clause[2]](self, elem, pos, clause))
+        except _GiveUp:
+            return False
 
     def finish_body(self, elem: Element):
         if elem.kind == "DataEntity":
@@ -278,33 +279,29 @@ class _Parser:
                 self.error("RSL-S007", f"Term '{elem.id}' lists its own main word among its synonyms", elem.name_span)
 
     # Each clause-value parser takes the index of the clause keyword and
-    # returns the value of the clause's field, or None after reporting an
-    # error; it sets the span and any second field.
+    # returns the value of the clause's field, or gives up; it sets the
+    # span and any second field.
 
-    def parse_string(self, elem: Element, keyword: int, clause) -> Optional[str]:
+    def parse_string(self, elem: Element, keyword: int, clause) -> str:
         s = self.expect("string", what="a string")
-        if s is None:
-            return None
         if clause[4]:
             setattr(elem, clause[4], self.content_span(s))
         return self.texts[s]
 
-    def parse_reference(self, elem: Element, keyword: int, clause) -> Optional[str]:
+    def parse_reference(self, elem: Element, keyword: int, clause) -> str:
         target = self.expect("identifier", what="an element id")
-        if target is None:
-            return None
         # A hierarchy edge's span runs from the keyword: V003's fix deletes the clause.
         setattr(elem, clause[4], self.span_from(keyword) if clause[2] == "parent" else self.span(target))
         return self.texts[target]
 
-    def parse_list(self, elem: Element, keyword: int, clause) -> Optional[tuple]:
+    def parse_list(self, elem: Element, keyword: int, clause) -> tuple:
         kind, what = ("identifier", "an identifier") if clause[2] == "ids" else ("string", "a string")
         kinds, texts = self.kinds, self.texts
         pos = self.pos
         values = []
         while True:
             if kinds[pos] != kind:
-                return self.expected(pos, what)
+                self.expected(pos, what)
             values.append(texts[pos])
             pos += 1
             if kinds[pos] != ",":
@@ -312,65 +309,52 @@ class _Parser:
                 return tuple(values)
             pos += 1
 
-    def parse_enum(self, elem: Element, keyword: int, clause) -> Optional[str]:
+    def parse_enum(self, elem: Element, keyword: int, clause) -> str:
         allowed = clause[3]
         value = self.expect("identifier", what=", ".join(allowed[:-1]) + " or " + allowed[-1])
-        if value is None:
-            return None
         text = self.texts[value]
         if text not in allowed:
-            self.error("RSL-S004", f"Unknown {self.texts[keyword]} '{text}'", self.span(value))
-            return None
+            raise self.fail("RSL-S004", f"Unknown {self.texts[keyword]} '{text}'", self.span(value))
         return text
 
-    def parse_extends(self, elem: Element, keyword: int, clause) -> Optional[str]:
+    def parse_extends(self, elem: Element, keyword: int, clause) -> str:
         target = self.expect("identifier", what="a use case id")
-        if target is None or self.expect("identifier", "onExtensionPoint") is None:
-            return None
-        point = self.expect("identifier", what="an extension point")
-        if point is None:
-            return None
-        elem.extends_point = self.texts[point]
+        self.expect("identifier", "onExtensionPoint")
+        elem.extends_point = self.texts[self.expect("identifier", what="an extension point")]
         setattr(elem, clause[4], self.span_from(keyword))
         return self.texts[target]
 
-    def parse_property(self, elem: Element, keyword: int, clause) -> Optional[str]:
+    def parse_property(self, elem: Element, keyword: int, clause) -> str:
         kind_i = self.expect("identifier", what="an element kind")
-        if kind_i is None or self.expect(".") is None:
-            return None
+        self.expect(".")
         frag_i = self.expect("identifier", what="a fragment (id, name or description)")
-        if frag_i is None:
-            return None
         kind, fragment = self.texts[kind_i], self.texts[frag_i]
         if kind not in ELEMENT_KINDS:
-            self.error("RSL-S004", f"Unknown element kind '{kind}'", self.span(kind_i))
-            return None
+            raise self.fail("RSL-S004", f"Unknown element kind '{kind}'", self.span(kind_i))
         if fragment not in FRAGMENTS:
-            self.error("RSL-S004", f"Unknown fragment '{fragment}'", self.span(frag_i))
-            return None
+            raise self.fail("RSL-S004", f"Unknown fragment '{fragment}'", self.span(frag_i))
         elem.fragment = fragment
         return kind
 
-    def parse_attribute(self, entity: DataEntity, keyword: int, clause) -> Optional[tuple]:
+    def parse_attribute(self, entity: DataEntity, keyword: int, clause) -> tuple:
         """`id "Name" : Type [[constraints (...)] [defaultValue "..."]]`, read inline."""
         kinds, texts = self.kinds, self.texts
         id_i = self.pos
         if kinds[id_i] != "identifier":
-            return self.expected(id_i, "an attribute id")
+            self.expected(id_i, "an attribute id")
         name_i = id_i + 1
         if kinds[name_i] != "string":
-            return self.expected(name_i, "an attribute name")
+            self.expected(name_i, "an attribute name")
         if kinds[name_i + 1] != ":":
-            return self.expected(name_i + 1, ":")
+            self.expected(name_i + 1, ":")
         pos = name_i + 2
         if kinds[pos] != "identifier":
-            return self.expected(pos, "a data type")
+            self.expected(pos, "a data type")
         dtype = texts[pos]
         pos += 1
         if dtype not in DATA_TYPES:
             self.pos = pos
-            self.error("RSL-S004", f"Unknown data type '{dtype}'", self.span(pos - 1))
-            return None
+            raise self.fail("RSL-S004", f"Unknown data type '{dtype}'", self.span(pos - 1))
         constraints: list[str] = []
         default_value = None
         if kinds[pos] == "[":
@@ -380,34 +364,32 @@ class _Parser:
                 if option == "constraints":
                     pos += 1
                     if kinds[pos] != "(":
-                        return self.expected(pos, "(")
+                        self.expected(pos, "(")
                     pos += 1
                     while True:
                         if kinds[pos] != "identifier":
-                            return self.expected(pos, "a constraint")
+                            self.expected(pos, "a constraint")
                         c = texts[pos]
                         pos += 1
                         if c not in CONSTRAINTS:
                             self.pos = pos
-                            self.error("RSL-S004", f"Unknown constraint '{c}'", self.span(pos - 1))
-                            return None
+                            raise self.fail("RSL-S004", f"Unknown constraint '{c}'", self.span(pos - 1))
                         constraints.append(c)
                         if kinds[pos] != ",":
                             break
                         pos += 1
                     if kinds[pos] != ")":
-                        return self.expected(pos, ")")
+                        self.expected(pos, ")")
                     pos += 1
                 elif option == "defaultValue":
                     pos += 1
                     if kinds[pos] != "string":
-                        return self.expected(pos, "a string")
+                        self.expected(pos, "a string")
                     default_value = texts[pos]
                     pos += 1
                 else:
                     self.pos = pos
-                    self.error("RSL-S002", f"Unexpected token '{texts[pos]}' in attribute options")
-                    return None
+                    raise self.fail("RSL-S002", f"Unexpected token '{texts[pos]}' in attribute options")
             pos += 1
         self.pos = pos
         return entity.attributes + (
@@ -423,33 +405,20 @@ class _Parser:
 
     # -- linguistic patterns -------------------------------------------------
 
-    def parse_pattern(self) -> Optional[PatternExpr]:
-        parts = []
-        while True:
-            part = self.parse_pattern_part()
-            if part is None:
-                return None
-            parts.append(part)
-            if self.accept("+") is None:
-                break
+    def parse_pattern(self) -> PatternExpr:
+        parts = [self.parse_pattern_part()]
+        while self.accept("+") is not None:
+            parts.append(self.parse_pattern_part())
         return PatternExpr(tuple(parts))
 
     def parse_pattern_part(self):
-        if self.accept("(") is not None:
-            options = []
-            while True:
-                atom = self.parse_pattern_atom()
-                if atom is None:
-                    return None
-                options.append(atom)
-                if self.accept("|") is None:
-                    break
-            if self.expect(")") is None:
-                return None
-            if len(options) == 1:
-                return options[0]
-            return AltPart(tuple(options))
-        return self.parse_pattern_atom()
+        if self.accept("(") is None:
+            return self.parse_pattern_atom()
+        options = [self.parse_pattern_atom()]
+        while self.accept("|") is not None:
+            options.append(self.parse_pattern_atom())
+        self.expect(")")
+        return options[0] if len(options) == 1 else AltPart(tuple(options))
 
     def parse_pattern_atom(self):
         pos = self.pos
@@ -457,26 +426,20 @@ class _Parser:
         if kind == "string":
             self.pos = pos + 1
             return LitPart(text)
-        if kind == "identifier":
-            self.pos = pos + 1
-            if self.accept(".") is not None:
-                frag = self.expect("identifier", what="a fragment (id, name or description)")
-                if frag is None:
-                    return None
-                if text not in ELEMENT_KINDS:
-                    self.error("RSL-S003", f"Unknown element kind '{text}' in pattern", self.span(pos))
-                    return None
-                fragment = self.texts[frag]
-                if fragment not in FRAGMENTS:
-                    self.error("RSL-S003", f"Unknown fragment '{fragment}' in pattern", self.span(frag))
-                    return None
-                return FragmentRefPart(text, fragment)
+        if kind != "identifier":
+            raise self.fail("RSL-S003", f"Expected a pattern part but found '{text or 'end of input'}'", self.span(pos))
+        self.pos = pos + 1
+        if self.accept(".") is None:
             if text in POS_CATEGORIES:
                 return PosPart(text)
-            self.error("RSL-S003", f"Unknown POS category '{text}' in pattern", self.span(pos))
-            return None
-        self.error("RSL-S003", f"Expected a pattern part but found '{text or 'end of input'}'", self.span(pos))
-        return None
+            raise self.fail("RSL-S003", f"Unknown POS category '{text}' in pattern", self.span(pos))
+        frag = self.expect("identifier", what="a fragment (id, name or description)")
+        if text not in ELEMENT_KINDS:
+            raise self.fail("RSL-S003", f"Unknown element kind '{text}' in pattern", self.span(pos))
+        fragment = self.texts[frag]
+        if fragment not in FRAGMENTS:
+            raise self.fail("RSL-S003", f"Unknown fragment '{fragment}' in pattern", self.span(frag))
+        return FragmentRefPart(text, fragment)
 
 
 _CLAUSES = {kind: {c[0]: c for c in row["clauses"]} for kind, row in KIND_TABLE.items()}

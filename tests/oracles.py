@@ -266,6 +266,9 @@ def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
         span = SourceSpan(file, start_line, start_col, line, col, start, i - start)
         tokens.append(OracleToken(kind, text, span, raw if raw is not None else text))
 
+    if source.startswith("\ufeff"):  # a byte-order mark is skipped, but keeps its offset and column
+        advance(source[0])
+        i = 1
     while i < n:
         ch = source[i]
         if ch in " \t\r\n":

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from codecs import BOM_UTF8
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,13 @@ class TestCheck:
         code, out, _ = run(["check", str(FIXTURES / "billing_defects.rsl")], capsys)
         assert code == 1
         assert "RSL-V001" in out and "RSL-V002" in out and "RSL-V003" in out
+
+    def test_byte_order_mark_is_not_a_declaration(self, tmp_path, capsys):
+        doc = tmp_path / "billing_clean.rsl"
+        doc.write_bytes(BOM_UTF8 + (FIXTURES / "billing_clean.rsl").read_bytes())
+        code, out, _ = run(["check", "--format", "json", str(doc)], capsys)
+        assert code == 0
+        assert [d for f in json.loads(out)["files"] for d in f["diagnostics"]] == []
 
     def test_human_format_line_structure(self, capsys):
         path = str(FIXTURES / "billing_defects.rsl")
@@ -230,6 +238,15 @@ class TestFix:
         assert doc.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]
 
+    def test_apply_keeps_a_byte_order_mark(self, tmp_path, capsys):
+        plain = copy_fixture(tmp_path, "billing_defects.rsl")
+        marked = tmp_path / "marked.rsl"
+        marked.write_bytes(BOM_UTF8 + plain.read_bytes())
+        run(["fix", "--apply", str(plain)], capsys)
+        _, out, _ = run(["fix", "--apply", str(marked)], capsys)
+        assert "applied fixes to 1 file(s)" in out
+        assert marked.read_bytes() == BOM_UTF8 + plain.read_bytes()  # the same fixes, one character later
+
     def test_file_changed_since_check_is_not_overwritten(self, tmp_path, capsys, monkeypatch):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
         edited = doc.read_text() + "\nActor a_Late \"Late\" : User\n"
@@ -244,6 +261,8 @@ class TestFix:
         monkeypatch.setattr(cli, "check_all", check_all_then_edit)
         code, out, _ = run(["fix", "--apply", str(doc)], capsys)
         assert f"skipped fixes for {doc}: file changed on disk since it was checked" in out
+        assert "no applicable fixes" not in out  # there were fixes; none could be written
+        assert "applied fixes to 0 file(s)" in out
         assert doc.read_text() == edited
         assert code == 1  # the re-check still sees the defects
 

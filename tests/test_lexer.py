@@ -52,6 +52,15 @@ def test_lexer_and_parser_never_raise(source):
     parse(source)
 
 
+def test_byte_order_mark_is_skipped_only_at_the_start():
+    source = '\ufeffActor a_1 "x"\n\ufeff'
+    tokens = tokenize(source, "f.rsl")
+    assert tokens.kinds == ["identifier", "identifier", "string", "error", "end"]
+    assert tokens.starts[0] == 1  # offsets index the text as read
+    assert as_tuples(tokens, source) == oracle_tuples(oracle_tokenize(source, "f.rsl"))
+    assert tokens.lines.span(tokens.starts[0], tokens.ends[0]).start_col == 2  # the mark is column 1
+
+
 def test_extreme_line_lengths_and_counts():
     one_line = ('Actor a_1 "x" : User ' * 10_000)[:200_000]
     many_lines = 'a "x"\n' * 50_000

@@ -1,5 +1,7 @@
 """Linguistic rule checking end to end: diagnostics, messages, create fixes."""
 
+from pathlib import Path
+
 import rslkit.matching
 from conftest import by_code, check_fixture, check_source
 from rslkit.model import apply_edits
@@ -43,13 +45,13 @@ class TestUseCaseNameScenario:
     def test_diagnostic_points_at_name(self):
         rm, diags = check_fixture("figure7.rsl")
         (d,) = by_code(diags, "RSL-L001")
-        src = open(rm.file, encoding="utf-8").read()
+        src = Path(rm.file).read_text(encoding="utf-8")
         assert src[d.span.offset : d.span.offset + d.span.length] == "Print Invoice"
 
     def test_applying_fix_satisfies_rule(self):
         rm, diags = check_fixture("figure7.rsl")
         (d,) = by_code(diags, "RSL-L001")
-        src = open(rm.file, encoding="utf-8").read()
+        src = Path(rm.file).read_text(encoding="utf-8")
         fixed = apply_edits(src, d.fixes[0].edits)
         _, diags2 = check_source(fixed)
         assert by_code(diags2, "RSL-L001") == []

@@ -73,6 +73,28 @@ def test_malformed_heads_and_clauses():
                     assert_same_parse(source + "\nActor a_9 : User [isA a_9]\n")
 
 
+# Inputs for the error sites the loops above miss: a subtype missing after
+# `.`, `onExtensionPoint` with no point, and the body checks of `finish_body`.
+ERROR_SITE_INPUTS = [
+    "Stakeholder s_1 : Person. [ ]",
+    "Stakeholder s_1 : Person.",
+    "UseCase uc_1 [ extends uc_0 onExtensionPoint ]",
+    "UseCase uc_1 [ extends uc_0 onExtensionPoint",
+    'DataEntity e_1 [ attribute at_1 "A" : Integer attribute at_1 "B" : Integer ]',
+    'DataEntity e_1 [ attribute at_1 "A" : Integer [constraints (PrimaryKey)]'
+    ' attribute at_2 "B" : Integer [constraints (PrimaryKey)] ]',
+    'DataEntity e_1 [ attribute at_1 "A" : Integer attribute at_1 "B" : Integer',
+    'Term t_1 "Client" [ synonyms "Buyer", "client" ]',
+    'Term t_1 "Client" [ synonyms "CLIENT"',
+]
+
+
+def test_error_sites_the_loops_miss():
+    for source in ERROR_SITE_INPUTS:
+        assert assert_same_parse(source), source
+        assert_same_parse(source + "\nActor a_9 : User [isA a_9]\n")
+
+
 def test_fixtures():
     for name, text in FIXTURE_TEXTS.items():
         assert_same_parse(text, name)
