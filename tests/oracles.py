@@ -33,8 +33,15 @@ each word: it looks every word up again on every call. Its one change
 is the tie rule among equally short lemmas, so the two agree on ties
 too. The glossary oracle is `check_glossary` before the screen: it
 analyzes every name and description with that tagger.
+
+The template-evaluator oracle is `evaluate` as it was before the engine
+took one missing value and operator and builtin tables: its own `_Null`
+sentinel beside `None`, an if-ladder per binary operator and one per
+builtin. It shares only the expression records and
+`ExpressionTypeError` with the library.
 """
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,6 +82,7 @@ from rslkit.model import (
     UseCase,
 )
 from rslkit.printer import print_include, quote
+from rslkit.template import Binary, Call, Conditional, ExpressionTypeError, Index, Lit, Member, Name, Unary
 from rslkit.workspace import ResolvedModel, Workspace, _resolve_include, _included_elements, add_system
 
 
@@ -1580,3 +1588,171 @@ def oracle_check_glossary(rm: ResolvedModel, lex: Lexicon, glossary) -> list[Dia
                     fixes = ()
                 diags.append(Diagnostic("Warning", "RSL-V002", message, span, fixes=fixes))
     return diags
+
+
+# --- template evaluator ------------------------------------------------------------
+
+class _Null:
+    def __repr__(self):
+        return "null"
+
+    def __bool__(self):
+        return False
+
+
+NULL = _Null()
+
+
+def oracle_truthy(value) -> bool:
+    if value is NULL or value is None:
+        return False
+    if isinstance(value, (list, tuple, dict, str)):
+        return len(value) > 0
+    return bool(value)
+
+
+def oracle_stringify(value) -> str:
+    if value is NULL or value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return ", ".join(oracle_stringify(v) for v in value)
+    if isinstance(value, dict):
+        return json.dumps(value, separators=(", ", ": "))
+    return str(value)
+
+
+def _oracle_number(value, op: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExpressionTypeError(f"operator '{op}' needs numbers, got {oracle_stringify(value)!r}")
+    return value
+
+
+def oracle_evaluate(expr, scopes: list[dict]):
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Name):
+        for scope in reversed(scopes):
+            if expr.name in scope:
+                value = scope[expr.name]
+                return NULL if value is None else value
+        return NULL
+    if isinstance(expr, Member):
+        obj = oracle_evaluate(expr.obj, scopes)
+        if obj is NULL:
+            return NULL
+        if isinstance(obj, dict):
+            value = obj.get(expr.name, NULL)
+            return NULL if value is None else value
+        return NULL
+    if isinstance(expr, Index):
+        obj = oracle_evaluate(expr.obj, scopes)
+        idx = oracle_evaluate(expr.index, scopes)
+        if obj is NULL or idx is NULL:
+            return NULL
+        try:
+            value = obj[int(idx) if isinstance(obj, (list, tuple)) else idx]
+        except (KeyError, IndexError, TypeError, ValueError):
+            return NULL
+        return NULL if value is None else value
+    if isinstance(expr, Unary):
+        value = oracle_evaluate(expr.operand, scopes)
+        if expr.op == "!":
+            return not oracle_truthy(value)
+        if value is NULL:
+            return NULL
+        return -_oracle_number(value, "-")
+    if isinstance(expr, Conditional):
+        return oracle_evaluate(expr.then if oracle_truthy(oracle_evaluate(expr.cond, scopes)) else expr.other, scopes)
+    if isinstance(expr, Binary):
+        return _oracle_binary(expr, scopes)
+    if isinstance(expr, Call):
+        return _oracle_call(expr, scopes)
+    raise TypeError(expr)
+
+
+def _oracle_binary(expr: Binary, scopes: list[dict]):
+    op = expr.op
+    if op == "&&":
+        left = oracle_evaluate(expr.left, scopes)
+        return oracle_evaluate(expr.right, scopes) if oracle_truthy(left) else left
+    if op == "||":
+        left = oracle_evaluate(expr.left, scopes)
+        return left if oracle_truthy(left) else oracle_evaluate(expr.right, scopes)
+    left = oracle_evaluate(expr.left, scopes)
+    right = oracle_evaluate(expr.right, scopes)
+    if op == "==":
+        return _oracle_plain(left) == _oracle_plain(right)
+    if op == "!=":
+        return _oracle_plain(left) != _oracle_plain(right)
+    if left is NULL or right is NULL:
+        return NULL
+    if op in ("<", "<=", ">", ">="):
+        if isinstance(left, str) and isinstance(right, str):
+            pass
+        else:
+            left = _oracle_number(left, op)
+            right = _oracle_number(right, op)
+        return {"<": left < right, "<=": left <= right, ">": left > right, ">=": left >= right}[op]
+    left = _oracle_number(left, op)
+    right = _oracle_number(right, op)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise ExpressionTypeError("division by zero")
+        return left / right
+    if op == "%":
+        if right == 0:
+            raise ExpressionTypeError("modulo by zero")
+        return left % right
+    raise TypeError(op)
+
+
+def _oracle_plain(value):
+    return None if value is NULL else value
+
+
+def _oracle_call(expr: Call, scopes: list[dict]):
+    name = expr.func
+    args = [oracle_evaluate(a, scopes) for a in expr.args]
+
+    def arity(n):
+        if len(args) != n:
+            raise ExpressionTypeError(f"{name}() takes {n} argument(s), got {len(args)}")
+
+    if name == "default":
+        arity(2)
+        return args[1] if args[0] is NULL else args[0]
+    if name == "upper":
+        arity(1)
+        return NULL if args[0] is NULL else oracle_stringify(args[0]).upper()
+    if name == "lower":
+        arity(1)
+        return NULL if args[0] is NULL else oracle_stringify(args[0]).lower()
+    if name == "length":
+        arity(1)
+        if args[0] is NULL:
+            return 0
+        if isinstance(args[0], (str, list, tuple, dict)):
+            return len(args[0])
+        raise ExpressionTypeError("length() needs a string or collection")
+    if name == "join":
+        arity(2)
+        if args[0] is NULL:
+            return ""
+        if not isinstance(args[0], (list, tuple)):
+            raise ExpressionTypeError("join() needs an array")
+        return oracle_stringify(args[1]).join(oracle_stringify(v) for v in args[0])
+    raise TypeError(name)

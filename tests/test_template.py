@@ -1,10 +1,15 @@
 """Template engine: parsing, expression evaluation, rendering modes."""
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import NULL as ORACLE_NULL
+from oracles import oracle_evaluate, oracle_stringify, oracle_truthy
 from rslkit.template import (
+    BUILTINS,
     MAX_NESTING_DEPTH,
     ExpressionTypeError,
     NULL,
@@ -56,6 +61,11 @@ class TestParsing:
             parse_template("abc{def")
         assert exc.value.position == 3
 
+    @pytest.mark.parametrize(("source", "wanted"), [("(1", ")"), ("a.", "name"), ("1 ? 2", ":"), ("upper(1 2)", ",")])
+    def test_missing_token_is_named(self, source, wanted):
+        with pytest.raises(TemplateSyntaxError, match=rf"^at offset 0: expected {re.escape(wanted)} in expression "):
+            parse_expression(source)
+
     def test_deep_nesting_is_a_syntax_error(self):
         # Both once overflowed the interpreter stack (RecursionError).
         with pytest.raises(TemplateSyntaxError, match="nested deeper than"):
@@ -105,6 +115,11 @@ class TestTags:
 
     def test_lenient_mode_renders_empty(self):
         assert run("[{nope}]", {}, strict=False) == "[]"
+
+    def test_error_in_a_tag_names_the_tag_and_its_offset(self):
+        with pytest.raises(ExpressionTypeError) as exc:
+            run("ab{ 1/0 }", {})
+        assert str(exc.value) == "tag '{1/0}' at offset 2: division by zero"
 
 
 class TestSections:
@@ -181,6 +196,52 @@ class TestExpressions:
         with pytest.raises(ExpressionTypeError):
             self.eval("length(5)")
 
+    def test_boolean_literals(self):
+        assert self.eval("true") is True
+        assert self.eval("false") is False
+        assert self.eval("false || x", {"x": "y"}) == "y"
+
+    def test_negating_a_missing_value_is_missing(self):
+        assert self.eval("-missing") is NULL
+
+    def test_strings_compare_as_strings(self):
+        assert self.eval("'abc' < 'abd'") is True
+        assert self.eval("'b' <= 'a'") is False
+        with pytest.raises(ExpressionTypeError, match="^operator '<' needs numbers, got 'a'$"):
+            self.eval("'a' < 1")
+
+    def test_subtraction_division_modulo(self):
+        assert self.eval("2 - 5") == -3
+        assert self.eval("7 / 2") == 3.5
+        assert self.eval("7.5 % 2") == 1.5
+
+    @pytest.mark.parametrize(
+        ("source", "message"),
+        [("1 / 0", "division by zero"), ("1 / 0.0", "division by zero"), ("1 % 0", "modulo by zero"), ("2.5 % 0.0", "modulo by zero")],
+    )
+    def test_zero_divisor(self, source, message):
+        with pytest.raises(ExpressionTypeError, match=f"^{message}$"):
+            self.eval(source)
+
+    def test_wrong_argument_count(self):
+        with pytest.raises(ExpressionTypeError, match=r"^upper\(\) takes 1 argument\(s\), got 2$"):
+            self.eval("upper('a', 'b')")
+        with pytest.raises(ExpressionTypeError, match=r"^join\(\) takes 2 argument\(s\), got 0$"):
+            self.eval("join()")
+        # Arguments are evaluated before the count is checked.
+        with pytest.raises(ExpressionTypeError, match="^division by zero$"):
+            self.eval("default(1 / 0)")
+
+    def test_builtins_on_missing_values(self):
+        assert self.eval("length(missing)") == 0
+        assert self.eval("join(missing, '-')") == ""
+        assert self.eval("upper(missing)") is NULL
+        assert self.eval("default(missing, missing)") is NULL
+
+    def test_join_needs_an_array(self):
+        with pytest.raises(ExpressionTypeError, match=r"^join\(\) needs an array$"):
+            self.eval("join('ab', '-')")
+
     def test_bad_expression_syntax(self):
         with pytest.raises(TemplateSyntaxError):
             parse_expression("1 +")
@@ -197,6 +258,8 @@ class TestStringify:
         assert stringify(None) == ""
         assert stringify(NULL) == ""
         assert stringify([1, "a"]) == "1, a"
+        assert stringify({"a": [1, None], "b": True}) == '{"a": [1, null], "b": true}'
+        assert stringify(range(2)) == "range(0, 2)"
 
     def test_truthy(self):
         assert truthy([1]) and truthy("x") and truthy(1)
@@ -242,3 +305,56 @@ def test_nesting_bound_holds_for_mixed_nesting(levels, sections):
         assert not within, text
     else:
         assert not beyond, text
+
+
+# --- the evaluator against the oracle: the evaluator before it had one missing value and operator tables
+
+NAMES = ["a", "b", "xs", "this", "missing"]
+ATOMS = NAMES + ["true", "false", "0", "1", "2", "2.5", "0.0", "''", "'a'", "'B'", "'10'"]
+OPERATORS = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"]
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(OPERATORS), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["!", "-"]), inner).map("".join),
+        st.tuples(inner, inner, inner).map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})"),
+        st.tuples(inner, st.sampled_from(NAMES)).map(lambda t: f"{t[0]}.{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]}[{t[1]}]"),
+        st.tuples(st.sampled_from(BUILTINS), st.lists(inner, max_size=3)).map(lambda t: f"{t[0]}({', '.join(t[1])})"),
+    )
+
+
+EXPRESSIONS = st.recursive(st.sampled_from(ATOMS), _compound, max_leaves=10)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "a", "B", "1", "abc"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(NAMES), inner, max_size=3),
+    max_leaves=8,
+)
+SCOPES = st.lists(st.dictionaries(st.sampled_from(NAMES), JSON_VALUES, max_size=5), min_size=1, max_size=2)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(EXPRESSIONS, SCOPES)
+def test_evaluate_agrees_with_the_oracle(source, scopes):
+    try:
+        expr = parse_expression(source)
+    except TemplateSyntaxError:
+        assume(False)
+    try:
+        expected = oracle_evaluate(expr, scopes)
+    except ExpressionTypeError as exc:
+        with pytest.raises(ExpressionTypeError) as got:
+            evaluate(expr, scopes)
+        assert str(got.value) == str(exc)
+        return
+    value = evaluate(expr, scopes)
+    assert (value is NULL) == (expected is ORACLE_NULL)
+    if value is not NULL:
+        assert repr(value) == repr(expected)
+    assert stringify(value) == oracle_stringify(expected)
+    assert truthy(value) == oracle_truthy(expected)
