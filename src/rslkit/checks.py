@@ -17,7 +17,6 @@ from .model import (
     LinguisticRuleDecl,
     QuickFix,
     Record,
-    SourceSpan,
     Term,
     TextEdit,
 )
@@ -283,7 +282,7 @@ def run_all_checks(
                 "Error",
                 "RSL-C004",
                 f"No lexicon available for language '{language}'; linguistic rules skipped",
-                (rm.model.language_decl.span if rm.model.language_decl else None) or _model_span(rm),
+                rm.model.language_decl.span,  # only English goes without a declaration, and it has a lexicon
             )
         )
         glossary_lex = Lexicon(language=language)
@@ -304,10 +303,6 @@ def run_all_checks(
             diags.append(info)
 
     return finalize(diags)
-
-
-def _model_span(rm: ResolvedModel) -> SourceSpan:
-    return rm.model.end_span or SourceSpan(rm.file, 1, 1, 1, 1, 0, 0)
 
 
 def finalize(diags: list[Diagnostic]) -> list[Diagnostic]:

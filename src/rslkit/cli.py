@@ -340,8 +340,6 @@ def cmd_fix(args) -> int:
 def cmd_gen(args) -> int:
     ws, targets = build_workspace(args.paths, args)
     lexicons = load_lexicon_overrides(args)
-    if not targets:
-        raise UsageError("gen needs an input document")
     rm = resolve(ws.system(targets[0]), ws)
     diags = run_all_checks(rm, ws, lexicons)
     refusal = ensure_valid(rm, diags)

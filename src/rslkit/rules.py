@@ -13,7 +13,6 @@ from .model import (
     AltPart,
     Diagnostic,
     FragmentRefPart,
-    FRAGMENTS,
     LinguisticRuleDecl,
     LitPart,
     PosPart,
@@ -70,16 +69,6 @@ def check_linguistic_rules(
 
     for rule in rules:
         if rule.pattern is None:
-            continue
-        if rule.fragment not in FRAGMENTS:
-            diags.append(
-                Diagnostic(
-                    "Error",
-                    "RSL-C003",
-                    f"Rule '{rule.id}': fragment '{rule.fragment}' does not exist on {rule.target_kind}",
-                    rule.span,
-                )
-            )
             continue
         for elem in rm.effective_elements:
             if elem.kind != rule.target_kind or elem is rule:

@@ -9,7 +9,9 @@ operator and a handful of builtins.
 from __future__ import annotations
 
 import json
+import operator
 import re
+import sys
 from typing import Optional
 
 from .model import Record
@@ -35,15 +37,9 @@ class UnresolvedTags(Exception):
         self.tags = tags
 
 
-class _Null:
-    def __repr__(self):
-        return "null"
-
-    def __bool__(self):
-        return False
-
-
-NULL = _Null()
+# A missing value: an unknown name, member or index, or a JSON null. It
+# renders as "", and in strict mode a tag whose value is missing fails.
+NULL = None
 
 
 # --- template structure -------------------------------------------------------
@@ -97,7 +93,7 @@ def parse_template(text: str) -> TemplateDocument:
             if len(stack) == MAX_NESTING_DEPTH:
                 raise TemplateSyntaxError(brace, f"sections nested deeper than {MAX_NESTING_DEPTH}")
             label = inner[1:].strip()
-            section = Section(label, parse_expression(label, brace), inner[0] == "^", [], brace)
+            section = Section(inner, parse_expression(label, brace), inner[0] == "^", [], brace)
             current.append(section)
             stack.append((label, section))
             current = section.body
@@ -168,7 +164,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>==|!=|<=|>=|&&|\|\||[-+*/%<>!?:.\[\](),]))"
 )
 
-BUILTINS = ("upper", "lower", "length", "join", "default")
 # Binary operators by precedence, loosest first; each level is left-associative.
 _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<=", ">=", "<", ">"), ("+", "-"), ("*", "/", "%"))
 
@@ -186,10 +181,7 @@ class _ExprParser:
                     raise TemplateSyntaxError(position, f"bad character {source[i:].strip()[0]!r} in expression")
                 break
             i = m.end()
-            for group in ("num", "name", "str", "op"):
-                if m.group(group) is not None:
-                    self.tokens.append((group, m.group(group)))
-                    break
+            self.tokens.append((m.lastgroup, m[m.lastgroup]))
         self.pos = 0
         self.depth = 0
 
@@ -277,7 +269,10 @@ class _ExprParser:
         kind, text = tok
         if kind == "num":
             self.pos += 1
-            return Lit(float(text) if "." in text else int(text))
+            try:
+                return Lit(float(text) if "." in text else int(text))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise TemplateSyntaxError(self.position, f"number with {len(text)} digits is too long") from None
         if kind == "str":
             self.pos += 1
             body = text[1:-1]
@@ -288,7 +283,7 @@ class _ExprParser:
                 return Lit(True)
             if text == "false":
                 return Lit(False)
-            if text in BUILTINS and self.accept("op", "("):
+            if text in _BUILTINS and self.accept("op", "("):
                 args = []
                 if not self.accept("op", ")"):
                     while True:
@@ -324,29 +319,27 @@ def parse_expression(source: str, position: int = 0) -> Expr:
 # --- evaluation ----------------------------------------------------------------
 
 def truthy(value) -> bool:
-    if value is NULL or value is None:
-        return False
-    if isinstance(value, (list, tuple, dict, str)):
-        return len(value) > 0
-    return bool(value)
+    return bool(value)  # NULL, false, 0, "" and empty collections are false
 
 
 def stringify(value) -> str:
-    if value is NULL or value is None:
+    if isinstance(value, str):
+        return value
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:g}"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, (list, tuple)):
-        return ", ".join(stringify(v) for v in value)
+        return ", ".join(map(stringify, value))
     if isinstance(value, dict):
         return json.dumps(value, separators=(", ", ": "))
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionTypeError(f"number too long to print: more than {limit} digits") from None
 
 
 def _number(value, op: str):
@@ -355,127 +348,92 @@ def _number(value, op: str):
     return value
 
 
+_OPERATORS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "%": operator.mod,
+}  # fmt: skip
+_ORDERINGS = ("<", "<=", ">", ">=")  # the operators that also compare two strings
+
+
+def _length(value):
+    if value is None:
+        return 0
+    if isinstance(value, (str, list, tuple, dict)):
+        return len(value)
+    raise ExpressionTypeError("length() needs a string or collection")
+
+
+def _join(items, separator):
+    if items is None:
+        return ""
+    if not isinstance(items, (list, tuple)):
+        raise ExpressionTypeError("join() needs an array")
+    return stringify(separator).join(map(stringify, items))
+
+
+# name -> (arity, function of the evaluated arguments)
+_BUILTINS = {
+    "upper": (1, lambda value: None if value is None else stringify(value).upper()),
+    "lower": (1, lambda value: None if value is None else stringify(value).lower()),
+    "length": (1, _length),
+    "join": (2, _join),
+    "default": (2, lambda value, fallback: fallback if value is None else value),
+}
+BUILTINS = tuple(_BUILTINS)
+
+
 def evaluate(expr: Expr, scopes: list[dict]):
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Name):
         for scope in reversed(scopes):
             if expr.name in scope:
-                value = scope[expr.name]
-                return NULL if value is None else value
-        return NULL
+                return scope[expr.name]
+        return None
     if isinstance(expr, Member):
         obj = evaluate(expr.obj, scopes)
-        if obj is NULL:
-            return NULL
-        if isinstance(obj, dict):
-            value = obj.get(expr.name, NULL)
-            return NULL if value is None else value
-        return NULL
+        return obj.get(expr.name) if isinstance(obj, dict) else None
     if isinstance(expr, Index):
         obj = evaluate(expr.obj, scopes)
         idx = evaluate(expr.index, scopes)
-        if obj is NULL or idx is NULL:
-            return NULL
         try:
-            value = obj[int(idx) if isinstance(obj, (list, tuple)) else idx]
-        except (KeyError, IndexError, TypeError, ValueError):
-            return NULL
-        return NULL if value is None else value
+            return obj[int(idx) if isinstance(obj, (list, tuple)) else idx]
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+            return None
     if isinstance(expr, Unary):
         value = evaluate(expr.operand, scopes)
         if expr.op == "!":
-            return not truthy(value)
-        if value is NULL:
-            return NULL
-        return -_number(value, "-")
+            return not value
+        return None if value is None else -_number(value, "-")
     if isinstance(expr, Conditional):
-        return evaluate(expr.then if truthy(evaluate(expr.cond, scopes)) else expr.other, scopes)
+        return evaluate(expr.then if evaluate(expr.cond, scopes) else expr.other, scopes)
     if isinstance(expr, Binary):
-        return _binary(expr, scopes)
+        op = expr.op
+        left = evaluate(expr.left, scopes)
+        if op == "&&":
+            return evaluate(expr.right, scopes) if left else left
+        if op == "||":
+            return left if left else evaluate(expr.right, scopes)
+        right = evaluate(expr.right, scopes)
+        if op not in ("==", "!="):
+            if left is None or right is None:
+                return None
+            if not (op in _ORDERINGS and isinstance(left, str) and isinstance(right, str)):
+                left, right = _number(left, op), _number(right, op)
+        try:
+            return _OPERATORS[op](left, right)
+        except ZeroDivisionError:
+            raise ExpressionTypeError("division by zero" if op == "/" else "modulo by zero") from None
+        except OverflowError as exc:
+            raise ExpressionTypeError(f"operator '{op}': {exc}") from None
     if isinstance(expr, Call):
-        return _call(expr, scopes)
+        args = [evaluate(a, scopes) for a in expr.args]
+        arity, function = _BUILTINS[expr.func]
+        if len(args) != arity:
+            raise ExpressionTypeError(f"{expr.func}() takes {arity} argument(s), got {len(args)}")
+        return function(*args)
     raise TypeError(expr)
-
-
-def _binary(expr: Binary, scopes: list[dict]):
-    op = expr.op
-    if op == "&&":
-        left = evaluate(expr.left, scopes)
-        return evaluate(expr.right, scopes) if truthy(left) else left
-    if op == "||":
-        left = evaluate(expr.left, scopes)
-        return left if truthy(left) else evaluate(expr.right, scopes)
-    left = evaluate(expr.left, scopes)
-    right = evaluate(expr.right, scopes)
-    if op == "==":
-        return _plain(left) == _plain(right)
-    if op == "!=":
-        return _plain(left) != _plain(right)
-    if left is NULL or right is NULL:
-        return NULL
-    if op in ("<", "<=", ">", ">="):
-        if isinstance(left, str) and isinstance(right, str):
-            pass
-        else:
-            left = _number(left, op)
-            right = _number(right, op)
-        return {"<": left < right, "<=": left <= right, ">": left > right, ">=": left >= right}[op]
-    left = _number(left, op)
-    right = _number(right, op)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ExpressionTypeError("division by zero")
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise ExpressionTypeError("modulo by zero")
-        return left % right
-    raise TypeError(op)
-
-
-def _plain(value):
-    return None if value is NULL else value
-
-
-def _call(expr: Call, scopes: list[dict]):
-    name = expr.func
-    args = [evaluate(a, scopes) for a in expr.args]
-
-    def arity(n):
-        if len(args) != n:
-            raise ExpressionTypeError(f"{name}() takes {n} argument(s), got {len(args)}")
-
-    if name == "default":
-        arity(2)
-        return args[1] if args[0] is NULL else args[0]
-    if name == "upper":
-        arity(1)
-        return NULL if args[0] is NULL else stringify(args[0]).upper()
-    if name == "lower":
-        arity(1)
-        return NULL if args[0] is NULL else stringify(args[0]).lower()
-    if name == "length":
-        arity(1)
-        if args[0] is NULL:
-            return 0
-        if isinstance(args[0], (str, list, tuple, dict)):
-            return len(args[0])
-        raise ExpressionTypeError("length() needs a string or collection")
-    if name == "join":
-        arity(2)
-        if args[0] is NULL:
-            return ""
-        if not isinstance(args[0], (list, tuple)):
-            raise ExpressionTypeError("join() needs an array")
-        return stringify(args[1]).join(stringify(v) for v in args[0])
-    raise TypeError(name)
 
 
 # --- rendering -------------------------------------------------------------------
@@ -483,36 +441,36 @@ def _call(expr: Call, scopes: list[dict]):
 def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
     out: list[str] = []
     unresolved: list[str] = []
-
-    def walk(nodes: list, scopes: list[dict]):
-        for node in nodes:
-            if isinstance(node, Static):
-                out.append(node.text)
-            elif isinstance(node, Tag):
-                try:
-                    value = evaluate(node.expr, scopes)
-                except ExpressionTypeError as exc:
-                    raise ExpressionTypeError(f"tag '{{{node.raw}}}' at offset {node.position}: {exc}") from None
-                if value is NULL:
-                    if strict:
-                        unresolved.append(node.raw)
-                else:
-                    out.append(stringify(value))
-            elif isinstance(node, Section):
-                value = evaluate(node.expr, scopes)
-                if node.inverted:
-                    if not truthy(value):
-                        walk(node.body, scopes)
-                    continue
-                if isinstance(value, (list, tuple)):
-                    for i, item in enumerate(value):
-                        scope = dict(item) if isinstance(item, dict) else {"this": item}
-                        scope["@index"] = i
-                        walk(node.body, scopes + [scope])
-                elif truthy(value):
-                    scope = dict(value) if isinstance(value, dict) else {"this": value}
-                    walk(node.body, scopes + [scope])
-    walk(tpl.nodes, [root])
+    _walk(tpl.nodes, [root], out, unresolved if strict else None)
     if unresolved:
         raise UnresolvedTags(unresolved)
     return "".join(out)
+
+
+def _walk(nodes: list, scopes: list[dict], out: list[str], unresolved: Optional[list[str]]):
+    """Render nodes into out; a tag whose value is NULL goes to unresolved, or renders empty without it."""
+    for node in nodes:
+        if isinstance(node, Static):
+            out.append(node.text)
+            continue
+        try:
+            value = evaluate(node.expr, scopes)
+            if isinstance(node, Tag):
+                if value is not None:
+                    out.append(stringify(value))
+                elif unresolved is not None:
+                    unresolved.append(node.raw)
+                continue
+        except ExpressionTypeError as exc:
+            kind = "tag" if isinstance(node, Tag) else "section"
+            raise ExpressionTypeError(f"{kind} '{{{node.raw}}}' at offset {node.position}: {exc}") from None
+        if node.inverted:
+            if not value:
+                _walk(node.body, scopes, out, unresolved)
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                scope = dict(item) if isinstance(item, dict) else {"this": item}
+                scope["@index"] = i
+                _walk(node.body, scopes + [scope], out, unresolved)
+        elif value:
+            _walk(node.body, scopes + [dict(value) if isinstance(value, dict) else {"this": value}], out, unresolved)

@@ -15,6 +15,7 @@ from rslkit import cli
 from rslkit.cli import main
 from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS
 from test_lexer import PIECES
+from test_template import DIGIT_LIMIT, needs_digit_limit
 
 
 def copy_fixture(tmp_path, name):
@@ -362,6 +363,33 @@ class TestGen:
         assert err.startswith("template error: ") and "nested deeper than" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            pytest.param("{" + "1" * (DIGIT_LIMIT + 1) + "}", marks=needs_digit_limit),
+            "{" + "9" * 400 + " / 1}",
+            "{" + "9" * 400 + " + 1.5}",
+            pytest.param("{" + "9" * (DIGIT_LIMIT // 2 + 1) + " * " + "9" * (DIGIT_LIMIT // 2 + 1) + "}", marks=needs_digit_limit),
+            "{useCases[" + "9" * 400 + ".0]}",
+        ],
+        ids=["literal too long", "quotient overflows", "sum overflows", "product too long to print", "infinite index"],
+    )
+    def test_numbers_out_of_range_are_a_template_error(self, template, tmp_path, capsys):
+        tpl = tmp_path / "numbers.tpl"
+        tpl.write_text(template, encoding="utf-8")
+        out_path = tmp_path / "x"
+        argv = ["gen", "template", str(FIXTURES / "billing_clean.rsl"), "--template", str(tpl), "-o", str(out_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("template error: ") and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_error_in_a_section_names_the_section(self, tmp_path, capsys):
+        tpl = tmp_path / "section.tpl"
+        tpl.write_text("{#1/0}x{/1/0}", encoding="utf-8")
+        argv = ["gen", "template", str(FIXTURES / "billing_clean.rsl"), "--template", str(tpl), "-o", str(tmp_path / "x")]
+        assert run(argv, capsys) == (1, "", "template error: section '{#1/0}' at offset 0: division by zero\n")
+
     def test_lenient_template_succeeds(self, tmp_path, capsys):
         out_path = tmp_path / "x"
         code, _, _ = run(
@@ -458,6 +486,27 @@ class TestReadErrorText:
         assert (code, err) == (2, f"error: cannot read './x.rsl': {self.MISSING}'x.rsl'\n")
         code, _, err = run(["check", "main.rsl", "sub/main.rsl", "./x.rsl"], capsys)
         assert code == 2 and err.startswith("error: system id 'main' names two files, 'main.rsl' and 'sub/main.rsl'")
+
+
+def test_lexicon_override_decides_l001(tmp_path, capsys):
+    """A `--lexicon` file and its `.rules` companion replace the built-in lexicon for checking."""
+    data = Path(cli.__file__).parent / "data"
+    custom = tmp_path / "custom.tsv"
+    lines = (data / "en.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    # "print" is a verb and a noun in the built-in lexicon; the custom one knows only the noun.
+    verbs = ("print\tprint\tVERB\n", "prints\tprint\tVERB\n")
+    custom.write_text("".join(line for line in lines if line not in verbs), encoding="utf-8")
+    shutil.copy(data / "en.rules", tmp_path / "custom.tsv.rules")
+    spec = str(FIXTURES / "billing_clean.rsl")
+    code, out, _ = run(["check", spec], capsys)
+    assert code == 0 and "RSL-L001" not in out
+    code, out, _ = run(["check", spec, "--lexicon", f"English={custom}"], capsys)
+    assert code == 1
+    # "Print Invoice" and "System shall print Invoice" now lack a verb.
+    assert [line.split(": error RSL-L001")[0] for line in out.splitlines() if "RSL-L001" in line] == [
+        f"{spec}:73:28",
+        f"{spec}:101:16",
+    ]
 
 
 class TestMalformedLexicon:

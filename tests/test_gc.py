@@ -4,7 +4,8 @@
 generation rarely while a command runs, then gives its caller back the
 GC state it found. Collecting rarely costs no memory only because a run
 leaves a constant amount of cyclic garbage, whatever the size of the
-spec; the second test pins that.
+spec; the second test pins that, and the last that rendering a template
+leaves none.
 """
 
 import contextlib
@@ -82,3 +83,19 @@ def test_a_run_leaves_the_same_cyclic_garbage_at_any_size(tmp_path, monkeypatch,
     assert cyclic_garbage(small, tmp_path / "small", monkeypatch) == cyclic_garbage(
         large, tmp_path / "large", monkeypatch
     )
+
+
+def test_render_leaves_no_cyclic_garbage(restore_gc):
+    from rslkit.template import parse_template, render
+
+    tpl = parse_template("{#items}{@index}: {upper(name)}{^tags}-{/tags}{#tags}{this} {/tags}\n{/items}{missing}")
+    root = {"items": [{"name": "a", "tags": ["x", "y"]}, {"name": "b", "tags": []}]}
+    expected = "0: Ax y \n1: B-\n"
+    gc.collect()
+    gc.disable()
+    try:
+        assert render(tpl, root, strict=False) == expected
+    finally:
+        garbage = gc.collect()
+        gc.enable()
+    assert garbage == 0

@@ -16,4 +16,4 @@ def test_diagnostic_table_lists_every_emitted_code():
     }
     assert len(table) == len(set(table)), "a code is listed twice"
     assert set(table) == emitted
-    assert len(emitted) == 20
+    assert len(emitted) == 19

@@ -1,6 +1,7 @@
 """Template engine: parsing, expression evaluation, rendering modes."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,11 @@ from rslkit.template import (
     stringify,
     truthy,
 )
+
+
+# Python 3.11 (and 3.10.7) refuse to convert an int of more digits than this to or from text; 0 means no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any length")
 
 
 def run(text, root, strict=True):
@@ -145,6 +151,18 @@ class TestSections:
         root = {"prefix": ">", "items": [{"v": 1}]}
         assert run("{#items}{prefix}{v}{/items}", root) == ">1"
 
+    def test_error_in_a_section_names_the_section_and_its_offset(self):
+        with pytest.raises(ExpressionTypeError) as exc:
+            run("x{#1/0}y{/1/0}", {})
+        assert str(exc.value) == "section '{#1/0}' at offset 1: division by zero"
+        with pytest.raises(ExpressionTypeError) as exc:
+            run("{^ 'a' - 1 }y{/'a' - 1}", {})
+        assert str(exc.value) == "section '{^ 'a' - 1}' at offset 0: operator '-' needs numbers, got 'a'"
+        # An error in a section's body names only the tag.
+        with pytest.raises(ExpressionTypeError) as exc:
+            run("{#a}{1 % 0}{/a}", {"a": [1]})
+        assert str(exc.value) == "tag '{1 % 0}' at offset 4: modulo by zero"
+
     def test_nested_sections(self):
         root = {"rows": [{"cols": [1, 2]}, {"cols": [3]}]}
         assert run("{#rows}[{#cols}{this}{/cols}]{/rows}", root) == "[12][3]"
@@ -242,6 +260,39 @@ class TestExpressions:
         with pytest.raises(ExpressionTypeError, match=r"^join\(\) needs an array$"):
             self.eval("join('ab', '-')")
 
+    @needs_digit_limit
+    def test_too_long_a_literal_is_a_syntax_error(self):
+        digits = "1" * (DIGIT_LIMIT + 1)
+        with pytest.raises(TemplateSyntaxError, match=f"^at offset 7: number with {DIGIT_LIMIT + 1} digits is too long$"):
+            parse_template("Total: {" + digits + " + 1}")
+
+    def test_overflow_is_a_type_error(self):
+        big = "9" * 400
+        # The rest of each message is Python's OverflowError text.
+        with pytest.raises(ExpressionTypeError, match="^operator '/': .*too large"):
+            self.eval(big + " / 1")
+        with pytest.raises(ExpressionTypeError, match="^operator '\\+': .*too large"):
+            self.eval(big + " + 1.5")
+        with pytest.raises(ExpressionTypeError, match="^operator '%': .*too large"):
+            self.eval(big + " % 1.5")
+        assert self.eval(big + " * " + big) == int(big) ** 2
+
+    def test_an_index_that_is_not_an_int_is_missing(self):
+        xs = {"xs": [1, 2]}
+        assert self.eval("xs[" + "9" * 400 + ".0]", xs) is NULL  # an infinite float
+        assert self.eval("xs['1']", xs) == 2
+        assert self.eval("xs['one']", xs) is NULL
+
+    @needs_digit_limit
+    def test_too_long_a_number_to_print_is_a_type_error(self):
+        half = "9" * (DIGIT_LIMIT // 2 + 1)
+        message = f"tag '{{{half} * {half}}}' at offset 1: number too long to print: more than {DIGIT_LIMIT} digits"
+        with pytest.raises(ExpressionTypeError) as exc:
+            run(f"={{{half} * {half}}}", {})
+        assert str(exc.value) == message
+        with pytest.raises(ExpressionTypeError, match="^tag '{upper"):
+            run(f"{{upper({half} * {half})}}", {})
+
     def test_bad_expression_syntax(self):
         with pytest.raises(TemplateSyntaxError):
             parse_expression("1 +")
@@ -258,6 +309,8 @@ class TestStringify:
         assert stringify(None) == ""
         assert stringify(NULL) == ""
         assert stringify([1, "a"]) == "1, a"
+
+    def test_objects_print_as_json_and_other_values_by_str(self):
         assert stringify({"a": [1, None], "b": True}) == '{"a": [1, null], "b": true}'
         assert stringify(range(2)) == "range(0, 2)"
 
@@ -307,7 +360,7 @@ def test_nesting_bound_holds_for_mixed_nesting(levels, sections):
         assert not beyond, text
 
 
-# --- the evaluator against the oracle: the evaluator before it had one missing value and operator tables
+# --- random expressions: the evaluator against oracle_evaluate, and rendering never raises a Python error
 
 NAMES = ["a", "b", "xs", "this", "missing"]
 ATOMS = NAMES + ["true", "false", "0", "1", "2", "2.5", "0.0", "''", "'a'", "'B'", "'10'"]
@@ -325,7 +378,11 @@ def _compound(inner):
     )
 
 
-EXPRESSIONS = st.recursive(st.sampled_from(ATOMS), _compound, max_leaves=10)
+def expressions(atoms):
+    return st.recursive(st.sampled_from(atoms), _compound, max_leaves=10)
+
+
+EXPRESSIONS = expressions(ATOMS)
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -358,3 +415,30 @@ def test_evaluate_agrees_with_the_oracle(source, scopes):
         assert repr(value) == repr(expected)
     assert stringify(value) == oracle_stringify(expected)
     assert truthy(value) == oracle_truthy(expected)
+
+
+# Numbers past what an int or float can carry: a literal too long to read, sums and
+# quotients that overflow a float, a product too long to print, an infinite index.
+HUGE = ["1" * 5000, "9" * 400, "9" * 2200, "9" * 400 + ".0", "1.5"]
+TAGS = expressions(ATOMS + HUGE).map(lambda source: "{" + source + "}")
+RENDER_PIECES = st.sampled_from(PIECES + ["*", "/", "length(", "default("])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(RENDER_PIECES, max_size=60).map("".join),
+        st.lists(RENDER_PIECES | TAGS, max_size=8).map("".join),
+    )
+)
+def test_a_template_that_parses_renders_or_raises_a_template_error(text):
+    try:
+        tpl = parse_template(text)
+    except TemplateSyntaxError:
+        return
+    for strict in (True, False):
+        try:
+            render(tpl, {"a": [{"a": 1, "xs": [1, "x"]}], "x": 2}, strict=strict)
+        except (ExpressionTypeError, UnresolvedTags):
+            pass
