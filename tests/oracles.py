@@ -26,7 +26,9 @@ The element-kind oracles are the per-kind code the element-kind table
 replaced, kept as it was on top of that parser: its element head and clause layer,
 the element printer, the JSON and text builders and the reference
 binding of `resolve`, each one hand-written `isinstance` ladder per kind,
-plus the pattern renderer that L001 messages use.
+plus the pattern renderer that L001 messages use. Its include walk is
+its own copy of the library's, with an `Import` walked by `resolve`
+itself, so a change to the library's walk shows against it.
 
 The tagger oracle is `analyze` as it was before `Lexicon.tag` memoized
 each word: it looks every word up again on every call. Its one change
@@ -83,7 +85,7 @@ from rslkit.model import (
 )
 from rslkit.printer import print_include, quote
 from rslkit.template import Binary, Call, Conditional, ExpressionTypeError, Index, Lit, Member, Name, Unary
-from rslkit.workspace import ResolvedModel, Workspace, _resolve_include, _included_elements, add_system
+from rslkit.workspace import MAX_INCLUDE_DEPTH, ResolvedModel, Workspace, add_system
 
 
 def reachable_from(graph: dict, start) -> set:
@@ -1427,6 +1429,63 @@ def oracle_text_fields(rm: ResolvedModel, elem) -> list[tuple[str, str]]:
         fields.append(("description", elem.description))
     return fields
 
+def _oracle_included_elements(
+    ws: Workspace,
+    system_id: str,
+    depth: int,
+    visiting: tuple,
+    diags: list,
+    at_span: SourceSpan,
+) -> list:
+    """Transitive effective element list of a system (excluding language decls)."""
+    if system_id in visiting:
+        diags.append(
+            Diagnostic("Error", "RSL-R004", f"Circular include involving system '{system_id}'", at_span)
+        )
+        return []
+    if depth > MAX_INCLUDE_DEPTH:
+        diags.append(
+            Diagnostic("Error", "RSL-R004", f"Include nesting deeper than {MAX_INCLUDE_DEPTH}", at_span)
+        )
+        return []
+    model = ws.system(system_id)
+    if model is None:
+        return []
+    out = [e for e in model.elements if e.kind != "LinguisticLanguage"]
+    for inc in model.includes:
+        if inc.mode == "Import":
+            continue
+        pulled = _oracle_resolve_include(ws, inc, depth + 1, visiting + (system_id,), diags)
+        if pulled is not None:
+            out.extend(pulled)
+    return out
+
+
+def _oracle_resolve_include(
+    ws: Workspace, inc: IncludeDecl, depth: int, visiting: tuple, diags: list
+) -> Optional[list]:
+    if inc.from_system not in ws:
+        diags.append(
+            Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
+        )
+        return None
+    pool = _oracle_included_elements(ws, inc.from_system, depth, visiting, diags, inc.span)
+    if inc.mode == "IncludeAll":
+        return pool
+    matches = [e for e in pool if e.kind == inc.element_kind and e.id == inc.element_id]
+    if not matches:
+        diags.append(
+            Diagnostic(
+                "Error",
+                "RSL-R003",
+                f"Unknown element '{inc.element_id}' of kind '{inc.element_kind}' in system '{inc.from_system}'",
+                inc.span,
+            )
+        )
+        return None
+    return matches[:1]
+
+
 def oracle_resolve(model: Model, ws: Workspace) -> ResolvedModel:
     """Realize includes and bind every internal reference."""
     system_id = ws.system_of(model)
@@ -1443,10 +1502,10 @@ def oracle_resolve(model: Model, ws: Workspace) -> ResolvedModel:
                 )
                 continue
             imported_pools.append(
-                _included_elements(ws, inc.from_system, 1, visiting, diags, inc.span)
+                _oracle_included_elements(ws, inc.from_system, 1, visiting, diags, inc.span)
             )
             continue
-        pulled = _resolve_include(ws, inc, 1, visiting, diags)
+        pulled = _oracle_resolve_include(ws, inc, 1, visiting, diags)
         if pulled:
             included.extend(pulled)
 

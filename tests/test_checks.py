@@ -81,6 +81,16 @@ class TestGlossary:
         _, diags2 = check_source(fixed)
         assert by_code(diags2, "RSL-V002") == []
 
+    def test_escaped_description_flags_the_whole_fragment_without_a_fix(self):
+        """Escapes shift the offsets of the decoded text, so no word span can be edited safely."""
+        src = GLOSSARY + 'Actor a_1 "Buyer" : User [description "Bills the \\"client\\" monthly"]\n'
+        rm, diags = check_source(src)
+        (d,) = by_code(diags, "RSL-V002")
+        actor = next(e for e in rm.effective_elements if e.id == "a_1")
+        assert d.message == "Replace the word 'client' by the main word 'Customer'"
+        assert d.span == actor.description_span and d.fixes == ()
+        assert src[d.span.offset : d.span.end_offset] == 'Bills the \\"client\\" monthly'
+
     def test_lemma_match_catches_plural(self):
         src = GLOSSARY + 'Actor a_1 "Buyer" : User [description "Clients pay invoices"]\n'
         _, diags = check_source(src)

@@ -94,6 +94,18 @@ class TestCheck:
         code, _, _ = run(["check", str(doc), "--manifest", str(manifest)], capsys)
         assert code == 0
 
+    def test_manifest_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        doc = copy_fixture(tmp_path, "billing_include.rsl")
+        copy_fixture(tmp_path, "system_rules.rsl")
+        manifest = tmp_path / "workspace.txt"
+        manifest.write_text("# shared rules\n\n   \nSystemRules=system_rules.rsl\n")
+        code, out, _ = run(["check", str(doc), "--manifest", str(manifest)], capsys)
+        assert code == 0 and "RSL-I001" in out
+
+    def test_system_mapping_without_a_value_is_a_usage_error(self, capsys):
+        code, out, err = run(["check", str(FIXTURES / "billing_clean.rsl"), "--system", "SystemRules"], capsys)
+        assert (code, out, err) == (2, "", "error: bad --system mapping 'SystemRules' (expected name=value)\n")
+
     def test_two_files_with_one_system_id_are_a_usage_error(self, tmp_path, capsys):
         for sub, fixture in (("a", "billing_clean.rsl"), ("b", "billing_defects.rsl")):
             (tmp_path / sub).mkdir()
@@ -267,6 +279,51 @@ class TestFix:
         assert doc.read_text() == edited
         assert code == 1  # the re-check still sees the defects
 
+    def test_conflicting_fixes_to_a_shared_file_keep_the_first(self, tmp_path, capsys, monkeypatch):
+        """Two targets include `c`, and each renames its duplicate to a different free id."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.rsl").write_text("IncludeAll fromSystem c\nActor x_2 : User\n")
+        (tmp_path / "b.rsl").write_text("IncludeAll fromSystem c\n")
+        (tmp_path / "c.rsl").write_text("Actor x : User\n\nActor x : User\n")
+        code, out, _ = run(["fix", "--dry-run", "a.rsl", "b.rsl", "--system", "c=c.rsl"], capsys)
+        assert code == 1
+        assert out.splitlines()[0] == "skipped conflicting fix 'Rename to 'x_2'' at c.rsl:3 (re-run fix)"
+        assert "+Actor x_3 : User" in out and "+Actor x_2 : User" not in out
+        assert [line for line in out.splitlines() if line.startswith("--- ")] == ["--- a.rsl", "--- b.rsl", "--- c.rsl"]
+
+    def test_file_deleted_since_check_is_not_recreated(self, tmp_path, capsys, monkeypatch):
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        real_check_all = cli.check_all
+
+        def check_all_then_delete(*args):
+            diags = real_check_all(*args)
+            doc.unlink(missing_ok=True)
+            return diags
+
+        monkeypatch.setattr(cli, "check_all", check_all_then_delete)
+        code, out, _ = run(["fix", "--apply", str(doc)], capsys)
+        assert f"skipped fixes for {doc}: file changed on disk since it was checked" in out
+        assert "applied fixes to 0 file(s)" in out
+        assert list(tmp_path.iterdir()) == []
+        assert code == 1
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "replace"])
+    def test_write_failure_is_a_usage_error_and_leaves_no_temporary_file(self, failing, tmp_path, capsys, monkeypatch):
+        import tempfile
+
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        before = doc.read_text()
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, fail)
+        code, out, err = run(["fix", "--apply", str(doc)], capsys)
+        assert code == 2 and "applied fixes" not in out
+        assert err == f"error: cannot write '{doc}': [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]
+        assert doc.read_text() == before
+
     def test_dry_run_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
         reads = []
@@ -407,6 +464,14 @@ class TestGen:
         )
         assert code == 0
         assert out_path.read_text() == "Hello !\n"
+
+
+def test_gen_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "doc.json"
+    code, out, err = run(["gen", "json", str(FIXTURES / "billing_clean.rsl"), "-o", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: [Errno 2] No such file or directory")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestUndecodableInput:

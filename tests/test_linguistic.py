@@ -117,6 +117,15 @@ class TestRuleMechanics:
         fr = next(e for e in rm.effective_elements if e.id == "fr_1")
         assert d.span == fr.description_span
 
+    def test_rule_without_a_pattern_checks_nothing(self):
+        src = UC_RULE.replace("  pattern Verb + (DataEntity.name)\n", "") + 'UseCase uc_1 "Nothing" : Other\n'
+        _, diags = check_source(src)
+        assert [d.code for d in diags] == ["RSL-S002"]
+
+    def test_sentence_without_words_is_not_checked(self):
+        _, diags = check_source(fr_spec("System shall print. -- . System shall print."))
+        assert by_code(diags, "RSL-L001") == []
+
     def test_rule_does_not_check_itself(self):
         src = (
             'LinguisticRule LR "Verb only" : Syntax [\n'
