@@ -209,7 +209,11 @@ def cmd_check(args) -> int:
 
 
 def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
-    """Per-file edit lists; identical edits collapse, overlaps are skipped."""
+    """Per-file edit lists; identical edits collapse, overlaps are skipped.
+
+    Distinct insertions at one offset (e.g. several created elements
+    appended at end of file) merge into a single edit, in order.
+    """
     wanted = set(AUTO_FIX_CODES) | ({"RSL-L001"} if create_missing else set())
     per_file: dict[str, list] = {}
     notices: list[str] = []
@@ -219,34 +223,21 @@ def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
             continue
         fix = d.fixes[0]
         for edit in fix.edits:
-            key = (edit.span.file, edit.span.offset, edit.span.length, edit.new_text)
+            span = edit.span
+            key = (span.file, span.offset, span.length, edit.new_text)
             if key in seen:
                 continue
-            chosen = per_file.setdefault(edit.span.file, [])
-            clash = next((e for e in chosen if e.span.overlaps(edit.span)), None)
-            if clash is not None:
-                notices.append(
-                    f"skipped conflicting fix '{fix.title}' at {edit.span.file}:{edit.span.start_line} (re-run fix)"
-                )
+            chosen = per_file.setdefault(span.file, [])
+            if any(e.span.overlaps(span) for e in chosen):
+                notices.append(f"skipped conflicting fix '{fix.title}' at {span.file}:{span.start_line} (re-run fix)")
                 continue
             seen.add(key)
+            if span.length == 0:
+                at = next((i for i, e in enumerate(chosen) if e.span.length == 0 and e.span.offset == span.offset), None)
+                if at is not None:
+                    chosen[at] = TextEdit(chosen[at].span, chosen[at].new_text + edit.new_text)
+                    continue
             chosen.append(edit)
-    # Distinct insertions at one offset (e.g. several created elements
-    # appended at end of file) merge into a single edit, in order.
-    for path, edits in per_file.items():
-        inserts: dict[int, list] = {}
-        rest = []
-        for e in edits:
-            if e.span.length == 0:
-                inserts.setdefault(e.span.offset, []).append(e)
-            else:
-                rest.append(e)
-        for offset, group in inserts.items():
-            if len(group) == 1:
-                rest.append(group[0])
-            else:
-                rest.append(TextEdit(group[0].span, "".join(e.new_text for e in group)))
-        per_file[path] = rest
     return per_file, notices
 
 
@@ -287,15 +278,10 @@ def cmd_fix(args) -> int:
     for notice in notices:
         print(notice)
 
-    systems_of_file: dict[str, list] = {}
-    for name, (_text, file) in ws.sources.items():
-        systems_of_file.setdefault(file, []).append(name)
     fixed: dict[str, tuple] = {}  # file -> (the text that was checked, that text fixed)
     for path, edits in sorted(per_file.items()):
-        if path not in systems_of_file:
-            print(f"skipped fixes for non-workspace file {path}")
-            continue
-        old = ws.sources[systems_of_file[path][0]][0]
+        # Every edit span comes from the parse of a registered text, so its file is registered.
+        old = next(text for text, file in ws.sources.values() if file == path)
         try:
             new = apply_edits(old, edits)
         except OverlappingEdits as exc:
@@ -326,9 +312,9 @@ def cmd_fix(args) -> int:
 
     # Exit status reflects the post-fix state for both modes. The re-check
     # reuses the workspace: only the systems whose text changed parse again.
-    for path, (_old, new) in fixed.items():
-        for name in systems_of_file[path]:
-            ws.register(name, new, path)
+    for name, (_text, path) in list(ws.sources.items()):
+        if path in fixed:
+            ws.register(name, fixed[path][1], path)
     post = check_all(ws, targets, lexicons)
     if not any_fixes and not notices:
         print("no applicable fixes")

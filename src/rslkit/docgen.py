@@ -74,8 +74,6 @@ def build_json_doc(rm: ResolvedModel) -> dict:
                 ]
             elif shape == "ids" or shape == "strings":
                 entry[keyword] = list(value)
-            elif not value and shape != "string":
-                continue
             elif shape == "ref":
                 target = rm.binding(elem, field)
                 entry[keyword] = {"id": target.id, "name": target.name_alias} if target else {"id": value}

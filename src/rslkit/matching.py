@@ -75,68 +75,54 @@ def _title(word: str) -> str:
     return word[:1].upper() + word[1:]
 
 
+def _consume(part, tokens: list[Token], ti: int, index: FragmentIndex):
+    """Yield token counts an atom can consume at ti; parse_pattern_part builds alternations of atoms only."""
+    if ti >= len(tokens):
+        return
+    tok = tokens[ti]
+    if isinstance(part, PosPart):
+        if POS_CATEGORIES[part.category] in tok.tags:
+            yield 1
+    elif isinstance(part, LitPart):
+        if tok.surface.lower() == part.text.lower():
+            yield 1
+    else:  # a FragmentRefPart
+        targets, longest = index.values(part.element_kind, part.fragment)
+        # Longest run first so plural/singular multi-word names win.
+        for run in range(min(len(tokens) - ti, longest), 0, -1):
+            window = tokens[ti : ti + run]
+            surfaces = " ".join(t.surface.lower() for t in window)
+            lemmas = " ".join(t.lemma for t in window)
+            if surfaces in targets or lemmas in targets:
+                yield run
+
+
+def _walk(parts, tokens: list[Token], index: FragmentIndex, pi: int, ti: int, failed: set, best: list) -> Optional[int]:
+    """Tokens consumed when parts[pi:] match from ti, else None; failures go to `failed` and `best`."""
+    if pi == len(parts):
+        return ti
+    if (pi, ti) in failed:
+        return None
+    part = parts[pi]
+    options = part.options if isinstance(part, AltPart) else (part,)
+    produced = False
+    for option in options:
+        for count in _consume(option, tokens, ti, index):
+            produced = True
+            result = _walk(parts, tokens, index, pi + 1, ti + count, failed, best)
+            if result is not None:
+                return result
+    if not produced and [ti, pi] > best:
+        best[:] = ti, pi
+    failed.add((pi, ti))
+    return None
+
+
 def match_pattern(pattern: PatternExpr, tokens: list[Token], index: FragmentIndex) -> MatchResult:
     """Match pattern parts left to right against tokens (prefix semantics)."""
     parts = pattern.parts
     best = [0, 0]  # furthest failure: token index, part index
-    failed: set[tuple[int, int]] = set()
-
-    def fail(pi: int, ti: int):
-        if (ti, pi) > tuple(best):
-            best[0], best[1] = ti, pi
-        return None
-
-    def consume(part, ti: int):
-        """Yield token counts this part can consume starting at ti."""
-        if isinstance(part, AltPart):
-            for option in part.options:
-                yield from consume(option, ti)
-            return
-        if ti >= len(tokens):
-            return
-        tok = tokens[ti]
-        if isinstance(part, PosPart):
-            if POS_CATEGORIES[part.category] in tok.tags:
-                yield 1
-            return
-        if isinstance(part, LitPart):
-            if tok.surface.lower() == part.text.lower():
-                yield 1
-            return
-        if isinstance(part, FragmentRefPart):
-            targets, longest = index.values(part.element_kind, part.fragment)
-            # Longest run first so plural/singular multi-word names win.
-            for run in range(min(len(tokens) - ti, longest), 0, -1):
-                window = tokens[ti : ti + run]
-                surfaces = " ".join(t.surface.lower() for t in window)
-                lemmas = " ".join(t.lemma for t in window)
-                if surfaces in targets or lemmas in targets:
-                    yield run
-            return
-        raise TypeError(part)
-
-    def walk(pi: int, ti: int) -> Optional[int]:
-        if pi == len(parts):
-            return ti
-        if (pi, ti) in failed:
-            return None
-        produced = False
-        for count in consume(parts[pi], ti):
-            produced = True
-            result = walk(pi + 1, ti + count)
-            if result is not None:
-                return result
-        if not produced:
-            fail(pi, ti)
-        failed.add((pi, ti))
-        return None
-
-    consumed = walk(0, 0)
-    # walk and consume call themselves, so their closures form reference
-    # cycles. Dropping them frees this call's state at once; left to the
-    # cyclic collector, its passes over a large model made checking
-    # superlinear in the model size.
-    del walk, consume
+    consumed = _walk(parts, tokens, index, 0, 0, set(), best)
     if consumed is not None:
         return MatchResult(True, prefix_len=consumed)
 

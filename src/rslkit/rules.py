@@ -12,7 +12,6 @@ from .matching import FragmentIndex, MatchResult, fragment_ref, match_pattern
 from .model import (
     AltPart,
     Diagnostic,
-    FragmentRefPart,
     LinguisticRuleDecl,
     LitPart,
     PosPart,
@@ -53,9 +52,7 @@ def _expectation_line(result: MatchResult) -> str:
     if isinstance(part, AltPart):
         names = " or ".join(f"'{o.text}'" if isinstance(o, LitPart) else pattern_atom(o) for o in part.options)
         return f"Expected a {names}"
-    if isinstance(part, FragmentRefPart):
-        return f"Expected the {part.fragment} of a/an '{part.element_kind}'"
-    return "Pattern not satisfied"
+    return f"Expected the {part.fragment} of a/an '{part.element_kind}'"  # a FragmentRefPart
 
 
 def check_linguistic_rules(

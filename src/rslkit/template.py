@@ -270,9 +270,12 @@ class _ExprParser:
         if kind == "num":
             self.pos += 1
             try:
-                return Lit(float(text) if "." in text else int(text))
+                value = float(text) if "." in text else int(text)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise TemplateSyntaxError(self.position, f"number with {len(text)} digits is too long") from None
+            if value == float("inf"):  # float() reads a decimal beyond float range as infinity
+                raise TemplateSyntaxError(self.position, f"number with {len(text) - 1} digits is too large")
+            return Lit(value)
         if kind == "str":
             self.pos += 1
             body = text[1:-1]
@@ -397,9 +400,14 @@ def evaluate(expr: Expr, scopes: list[dict]):
     if isinstance(expr, Index):
         obj = evaluate(expr.obj, scopes)
         idx = evaluate(expr.index, scopes)
+        if not isinstance(obj, dict):  # a position is a whole number, not a bool, a string or a fraction
+            if isinstance(idx, float) and idx.is_integer():
+                idx = int(idx)
+            elif type(idx) is not int:
+                return None
         try:
-            return obj[int(idx) if isinstance(obj, (list, tuple)) else idx]
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+            return obj[idx]
+        except (KeyError, IndexError, TypeError):
             return None
     if isinstance(expr, Unary):
         value = evaluate(expr.operand, scopes)

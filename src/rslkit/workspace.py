@@ -121,9 +121,7 @@ def _included_elements(
             Diagnostic("Error", "RSL-R004", f"Include nesting deeper than {MAX_INCLUDE_DEPTH}", at_span)
         )
         return []
-    model = ws.system(system_id)
-    if model is None:
-        return []
+    model = ws.system(system_id)  # registered: every caller tests `in ws` first
     out = [e for e in model.elements if e.kind != "LinguisticLanguage"]
     for inc in model.includes:
         if inc.mode == "Import":
@@ -143,7 +141,7 @@ def _resolve_include(
         )
         return None
     pool = _included_elements(ws, inc.from_system, depth, visiting, diags, inc.span)
-    if inc.mode == "IncludeAll":
+    if inc.mode != "Include":  # IncludeAll pulls, and Import sees, the whole system
         return pool
     matches = [e for e in pool if e.kind == inc.element_kind and e.id == inc.element_id]
     if not matches:
@@ -169,20 +167,14 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
     visiting = (system_id,) if system_id else ()
 
     for inc in model.includes:
-        if inc.mode == "Import":
-            if inc.from_system not in ws:
-                diags.append(
-                    Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
-                )
-                continue
-            imported_pools.append(
-                _included_elements(ws, inc.from_system, 1, visiting, diags, inc.span)
-            )
-            continue
         before = len(diags)
         elements = _resolve_include(ws, inc, 1, visiting, diags)
-        if elements:
-            included.extend(elements)
+        if elements is None:
+            continue
+        if inc.mode == "Import":
+            imported_pools.append(elements)
+            continue
+        included.extend(elements)
         if len(diags) == before:  # no RSL-R002..R004 on the way, so the include can be inlined
             pulled[id(inc)] = elements
 

@@ -40,7 +40,8 @@ The template-evaluator oracle is `evaluate` as it was before the engine
 took one missing value and operator and builtin tables: its own `_Null`
 sentinel beside `None`, an if-ladder per binary operator and one per
 builtin. It shares only the expression records and
-`ExpressionTypeError` with the library.
+`ExpressionTypeError` with the library. Its one change is the index
+rule: only a whole number that is not a bool reads a position.
 """
 
 import json
@@ -1429,6 +1430,7 @@ def oracle_text_fields(rm: ResolvedModel, elem) -> list[tuple[str, str]]:
         fields.append(("description", elem.description))
     return fields
 
+
 def _oracle_included_elements(
     ws: Workspace,
     system_id: str,
@@ -1716,9 +1718,14 @@ def oracle_evaluate(expr, scopes: list[dict]):
         idx = oracle_evaluate(expr.index, scopes)
         if obj is NULL or idx is NULL:
             return NULL
+        if not isinstance(obj, dict):
+            whole = isinstance(idx, float) and idx.is_integer()
+            if not (whole or (isinstance(idx, int) and not isinstance(idx, bool))):
+                return NULL
+            idx = int(idx)
         try:
-            value = obj[int(idx) if isinstance(obj, (list, tuple)) else idx]
-        except (KeyError, IndexError, TypeError, ValueError):
+            value = obj[idx]
+        except (KeyError, IndexError, TypeError):
             return NULL
         return NULL if value is None else value
     if isinstance(expr, Unary):

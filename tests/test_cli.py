@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import tempfile
 from codecs import BOM_UTF8
 from pathlib import Path
 
@@ -309,8 +310,6 @@ class TestFix:
 
     @pytest.mark.parametrize("failing", ["mkstemp", "replace"])
     def test_write_failure_is_a_usage_error_and_leaves_no_temporary_file(self, failing, tmp_path, capsys, monkeypatch):
-        import tempfile
-
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
         before = doc.read_text()
 

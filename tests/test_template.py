@@ -266,6 +266,12 @@ class TestExpressions:
         with pytest.raises(TemplateSyntaxError, match=f"^at offset 7: number with {DIGIT_LIMIT + 1} digits is too long$"):
             parse_template("Total: {" + digits + " + 1}")
 
+    def test_too_large_a_decimal_literal_is_a_syntax_error(self):
+        big = "9" * 400 + ".5"
+        for source in ("Total: {" + big + "}", "Total: {" + big + " - " + big + "}"):
+            with pytest.raises(TemplateSyntaxError, match="^at offset 7: number with 401 digits is too large$"):
+                parse_template(source)
+
     def test_overflow_is_a_type_error(self):
         big = "9" * 400
         # The rest of each message is Python's OverflowError text.
@@ -278,10 +284,11 @@ class TestExpressions:
         assert self.eval(big + " * " + big) == int(big) ** 2
 
     def test_an_index_that_is_not_an_int_is_missing(self):
-        xs = {"xs": [1, 2]}
-        assert self.eval("xs[" + "9" * 400 + ".0]", xs) is NULL  # an infinite float
-        assert self.eval("xs['1']", xs) == 2
-        assert self.eval("xs['one']", xs) is NULL
+        xs = {"xs": [1, 2, 3], "inf": float("inf"), "nan": float("nan")}
+        for index in ("inf", "nan", "1.9", "true", "'1'", "'one'", "xs"):
+            assert self.eval(f"xs[{index}]", xs) is NULL, index
+        assert self.eval("xs[4 / 2]", xs) == 3  # a whole float reads its position
+        assert self.eval("'abc'[true]", xs) is NULL
 
     @needs_digit_limit
     def test_too_long_a_number_to_print_is_a_type_error(self):

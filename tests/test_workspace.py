@@ -262,7 +262,7 @@ def test_checks_walk_each_include_once():
 
     with mock.patch.object(rslkit.workspace, "_resolve_include", walk):
         diags = run_all_checks(resolve(model, ws), ws)
-    assert walks == Counter({"Include": 1, "IncludeAll": 1})
+    assert walks == Counter({"Include": 1, "IncludeAll": 1, "Import": 1})
     assert len(by_code(diags, "RSL-I001")) == 2
 
 
