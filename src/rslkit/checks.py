@@ -231,14 +231,13 @@ def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
                 graph[id(e)].append(id(target))
         for key in sorted(cycle_nodes(graph), key=lambda k: order[k]):
             elem = by_key[key]
-            span = getattr(elem, span_field, None) or elem.span
-            target_id = getattr(elem, rel)
+            edge = getattr(elem, span_field)
             fixes = ()
-            if span is not None and getattr(elem, span_field, None) is not None:
+            if edge is not None:
                 fixes = (
                     QuickFix(
-                        f"Remove '{keyword} {target_id}' to break the cycle",
-                        (TextEdit(span, ""),),
+                        f"Remove '{keyword} {getattr(elem, rel)}' to break the cycle",
+                        (TextEdit(edge, ""),),
                     ),
                 )
             diags.append(
@@ -246,7 +245,7 @@ def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
                     "Error",
                     "RSL-V003",
                     f"Cycle in hierarchy of {kind} '{elem.id}'",
-                    span,
+                    edge or elem.span,
                     fixes=fixes,
                 )
             )

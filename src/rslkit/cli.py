@@ -67,9 +67,9 @@ def build_workspace(paths: list[str], args):
     system is parsed only when resolution first reaches it.
     """
     mapping = {}
-    if getattr(args, "manifest", None):
+    if args.manifest:
         mapping.update(read_manifest(args.manifest))
-    mapping.update(parse_mapping(getattr(args, "system", None), "--system"))
+    mapping.update(parse_mapping(args.system, "--system"))
     name_of_file = {os.path.abspath(p): name for name, p in mapping.items()}
 
     targets = []
@@ -109,7 +109,7 @@ def build_workspace(paths: list[str], args):
 
 def load_lexicon_overrides(args) -> dict:
     overrides = {}
-    for lang, path in parse_mapping(getattr(args, "lexicon", None), "--lexicon").items():
+    for lang, path in parse_mapping(args.lexicon, "--lexicon").items():
         suffix_path = path + ".rules" if Path(path + ".rules").exists() else None
         try:
             overrides[lang] = load_lexicon(path, suffix_path, language=lang)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .model import KIND_TABLE, Diagnostic, Record
+from .model import KIND_TABLE, Diagnostic, Record, element_type
 from .printer import print_pattern
 from .workspace import ResolvedModel
 
@@ -53,10 +53,10 @@ def build_json_doc(rm: ResolvedModel) -> dict:
         entry = {"id": elem.id, "name": elem.name, "nameAlias": elem.name_alias}
         if elem.description is not None:
             entry["description"] = elem.description
-        entry["type"] = {"type": getattr(elem, row["type"][1])}
-        subtype = row.get("subtype")
-        if subtype and getattr(elem, subtype):
-            entry["type"]["subtype"] = getattr(elem, subtype)
+        type_text, subtype = element_type(elem)
+        entry["type"] = {"type": type_text}
+        if subtype:
+            entry["type"]["subtype"] = subtype
         for keyword, field, shape in _JSON_CLAUSES[elem.kind]:
             value = getattr(elem, field)
             if value is None:
@@ -101,12 +101,10 @@ def generate_json(rm: ResolvedModel) -> str:
 
 def _text_fields(rm: ResolvedModel, elem) -> list[tuple[str, str]]:
     row = KIND_TABLE[elem.kind]
-    label, type_field = row["type"][:2]
-    type_text = getattr(elem, type_field)
-    subtype = row.get("subtype")
-    if subtype and getattr(elem, subtype):
-        type_text += "." + getattr(elem, subtype)
-    fields = [(label, type_text)]
+    type_text, subtype = element_type(elem)
+    if subtype:
+        type_text += "." + subtype
+    fields = [(row["type"][0], type_text)]
     for keyword, field, shape, _, _ in row["clauses"]:
         value = getattr(elem, field)
         if value is None or not value and shape != "string":

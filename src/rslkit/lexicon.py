@@ -76,7 +76,7 @@ class Lexicon(Record):
     language: str = "English"
     entries: dict = {}  # lower surface -> set[(upos, lemma)]
     suffix_rules: list = []
-    words: dict = Field({}, compare=False, repr=False)  # surface -> tag(surface)
+    words: dict = Field({}, repr=False)  # surface -> tag(surface)
 
     def add(self, surface: str, lemma: str, upos: str):
         self.entries.setdefault(surface.lower(), set()).add((upos, lemma.lower()))

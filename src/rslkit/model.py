@@ -1,18 +1,20 @@
 """Document model: elements, spans, diagnostics, text edits.
 
-Everything here is immutable-by-convention; spans never participate in
-structural equality so that round-trip tests can compare reparsed models.
+Everything here is immutable-by-convention. A parsed model's spans stay out
+of `==` so that reparsed models compare equal; a diagnostic's span counts.
 
 Every value class in rslkit but `SourceSpan` is a `Record`: a slotted
 class whose fields are its annotations, in order, base class fields
 first, with the class attribute of the same name as the default. A
-`Field` default keeps its field out of `==` or out of `repr()`, and an
-empty list or dict default is built anew for each instance. Each class
-gets `__init__` (positional or keyword arguments, plain assignment),
-`__eq__` (same class only, over the compared fields) and, with
-`frozen=True`, `__hash__` over those fields, from one `exec`; the other
-records are unhashable. `frozen` only adds the hash: nothing stops an
-assignment. `_fields` lists the field names.
+`Field` default always keeps its field out of `==`, and with
+`repr=False` out of `repr()` too; an empty list or dict default is built
+anew for each instance. Each class gets one generated method, `__init__`
+(positional or keyword arguments, plain assignment), from one `exec`.
+`__eq__` and `__hash__` are `Record`'s own: two records are equal when
+they have the same class and equal tuples of compared fields, and the
+hash is that tuple's. Only a class made with `frozen=True` keeps the
+hash; the other records are unhashable. `frozen` only adds the hash:
+nothing stops an assignment. `_fields` lists the field names.
 """
 
 from __future__ import annotations
@@ -22,24 +24,23 @@ from typing import Optional
 
 
 class Field:
-    """A field default that `==` (compare=False) or `repr()` (repr=False) leaves out."""
+    """A field default that `==` leaves out, and `repr()` too with repr=False."""
 
-    __slots__ = ("default", "compare", "repr")
+    __slots__ = ("default", "repr")
 
-    def __init__(self, default=None, *, compare: bool = True, repr: bool = True):
+    def __init__(self, default=None, *, repr: bool = True):
         self.default = default
-        self.compare = compare
         self.repr = repr
 
 
-SPAN = Field(compare=False, repr=False)  # a source span: None by default, outside == and repr()
+SPAN = Field(repr=False)  # a source span: None by default, outside == and repr()
 
 _REQUIRED = object()  # no default: the argument is required
 _FRESH = object()  # stands in for an empty list or dict default until __init__ builds a new one
 
 
 class _RecordType(type):
-    """Gives each Record class its slots, field tuple and generated methods."""
+    """Gives each Record class its slots, field tuples, `__init__` and, unless frozen, `__hash__ = None`."""
 
     def __new__(mcs, name, bases, ns, frozen: bool = False):
         fields, defaults, compared, shown = [], {}, [], []
@@ -53,25 +54,26 @@ class _RecordType(type):
         # class body leaves its annotations in the namespace, as strings.
         own = tuple(ns.get("__annotations__", ()))
         for f in own:
-            default, compare, show = ns.pop(f, _REQUIRED), True, True
+            default, show = ns.pop(f, _REQUIRED), True
             if isinstance(default, Field):
-                default, compare, show = default.default, default.compare, default.repr
+                default, show = default.default, default.repr
+            else:
+                compared.append(f)
             if default is not _REQUIRED:
                 defaults[f] = default
             fields.append(f)
-            if compare:
-                compared.append(f)
             if show:
                 shown.append(f)
         ns["__slots__"] = own
         ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared), _shown=tuple(shown))
         if bases:
-            ns.update(_methods(fields, defaults, compared, frozen))
+            ns["__init__"] = _init(fields, defaults)
+            ns["__hash__"] = Record.__hash__ if frozen else None
         return super().__new__(mcs, name, bases, ns)
 
 
-def _methods(fields, defaults, compared, frozen: bool) -> dict:
-    """`__init__`, `__eq__` and `__hash__` of one record class, from one exec."""
+def _init(fields, defaults):
+    """`__init__` of one record class, from one exec."""
     params, body = [], []
     for f in fields:
         default = defaults.get(f, _REQUIRED)
@@ -84,24 +86,25 @@ def _methods(fields, defaults, compared, frozen: bool) -> dict:
         else:
             params.append(f"{f}=_defaults[{f!r}]")
             body.append(f"self.{f} = {f}")
-    mine = "(" + "".join(f"self.{f}, " for f in compared) + ")"
-    theirs = "(" + "".join(f"other.{f}, " for f in compared) + ")"
-    source = (
-        f"def __init__(self, {', '.join(params)}):\n"
-        + "".join(f"    {line}\n" for line in body or ["pass"])
-        + "def __eq__(self, other):\n"
-        + "    if other.__class__ is self.__class__:\n"
-        + f"        return {mine} == {theirs}\n"
-        + "    return NotImplemented\n"
-        + (f"def __hash__(self):\n    return hash({mine})\n" if frozen else "__hash__ = None\n")
-    )
+    source = f"def __init__(self, {', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body or ["pass"])
     scope = {"_defaults": defaults, "_FRESH": _FRESH}
     exec(source, scope)
-    return {name: scope[name] for name in ("__init__", "__eq__", "__hash__")}
+    return scope["__init__"]
 
 
 class Record(metaclass=_RecordType):
     """Base of rslkit's value classes; see the module docstring."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
@@ -391,7 +394,7 @@ class Model(Record):
     elements: list = []
     includes: list = []
     language_decl: Optional[LinguisticLanguageDecl] = None
-    file: str = Field("<memory>", compare=False)
+    file: str = Field("<memory>")
     end_span: Optional[SourceSpan] = SPAN
 
     @property
@@ -505,3 +508,10 @@ for _kind, _row in KIND_TABLE.items():
     _row["class"].kind = _kind
 
 ELEMENT_KINDS = tuple(KIND_TABLE)
+
+
+def element_type(elem: Element) -> tuple[str, Optional[str]]:
+    """The `Type[.Subtype]` of an element's head: (type, subtype or None)."""
+    row = KIND_TABLE[elem.kind]
+    subtype = row.get("subtype")
+    return getattr(elem, row["type"][1]), (getattr(elem, subtype) or None) if subtype else None

@@ -3,8 +3,8 @@
 Syntax errors become RSL-S0xx diagnostics, so every well-formed element
 in a broken document still reaches the later checks. A parser that cannot
 go on reports why and gives up with `raise self.fail(...)` (or through
-`expect`/`expected`, which do the same); it never returns a failure
-value. `_GiveUp` is caught in exactly two places:
+`expect`, which does the same); it never returns a failure value.
+`_GiveUp` is caught in exactly two places:
 
 - `parse_document`, around each declaration: a declaration that gives up
   is dropped, and `skip_to_top` resumes at the next top-level keyword at
@@ -16,20 +16,21 @@ Errors that do not stop the parse (S005, S006, S007, a rule with no
 pattern, a body cut off by the end of input) are only recorded by `error`.
 
 The parser reads the lexer's token arrays by index and never builds a
-token object. `pos` is the index of the next token; `accept` returns the
-index of the token it consumed, or None when the optional token is
-absent, and `expect` returns that index or gives up. The hot paths (the
-element head, the clause dispatch of `parse_body`, `parse_attribute`,
-`parse_list` and `skip_to_top`) test `kinds[pos]` and `texts[pos]` from
-locals, and a punctuation token's kind is the mark itself, so each test
-is one comparison. A span is made only where the model or a diagnostic
-keeps one (`span`, `span_from`, `content_span`), and it is two offsets
-until someone reads its line or column (see `lexer.LineTable`).
+token object. `pos` is the index of the next token. `accept` and
+`expect` are the only code that consumes a token the grammar asks for:
+`accept` returns the index of the token it consumed, or None when the
+optional token is absent, and `expect` returns that index or gives up
+with RSL-S002. Only look-ahead reads `kinds[pos]` itself: the
+declaration dispatch of `parse_document`, the clause dispatch of
+`parse_body`, `parse_pattern_atom` and `skip_to_top`. A span is made
+only where the model or a diagnostic keeps one (`span`, `span_from`,
+`content_span`), and it is two offsets until someone reads its line or
+column (see `lexer.LineTable`).
 """
 
 from __future__ import annotations
 
-from typing import NoReturn, Optional
+from typing import Optional
 
 from .lexer import tokenize
 from .model import (
@@ -85,15 +86,12 @@ class _Parser:
         return None
 
     def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> int:
-        pos = self.accept(kind, text)
-        if pos is None:
-            self.expected(self.pos, what or text or kind)
-        return pos
-
-    def expected(self, pos: int, want: str) -> NoReturn:
-        """Stop at token pos, report that it is not the `want` the grammar needs, and give up."""
-        self.pos = pos
-        raise self.fail("RSL-S002", f"Expected {want} but found '{self.texts[pos] or 'end of input'}'")
+        """Consume the next token, which must have this kind (and text); its index, or give up."""
+        pos = self.pos
+        if self.kinds[pos] == kind and (text is None or self.texts[pos] == text):
+            self.pos = pos + 1
+            return pos
+        raise self.fail("RSL-S002", f"Expected {what or text or kind} but found '{self.texts[pos] or 'end of input'}'")
 
     def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
         span = span or self.span(self.pos)
@@ -182,31 +180,18 @@ class _Parser:
     # -- elements ----------------------------------------------------------
 
     def parse_element(self) -> Element:
-        """`Kind id ["Name"] [: Type[.Subtype]] [[ clauses ]]`, the head read inline."""
-        kinds, texts = self.kinds, self.texts
+        """`Kind id ["Name"] [: Type[.Subtype]] [[ clauses ]]`."""
+        texts = self.texts
         start = self.pos
         row = KIND_TABLE[texts[start]]
-        id_i = start + 1
-        if kinds[id_i] != "identifier":
-            self.expected(id_i, "an identifier")
-        pos = id_i + 1
-        name_i = type_i = subtype_i = None
-        if kinds[pos] == "string":
-            name_i = pos
-            pos += 1
-        if kinds[pos] == ":":
-            pos += 1
-            if kinds[pos] != "identifier":
-                self.expected(pos, "a type")
-            type_i = pos
-            pos += 1
-            if kinds[pos] == "." and row.get("subtype"):
-                pos += 1
-                if kinds[pos] != "identifier":
-                    self.expected(pos, "a subtype")
-                subtype_i = pos
-                pos += 1
-        self.pos = pos
+        self.pos = start + 1
+        id_i = self.expect("identifier", what="an identifier")
+        name_i = self.accept("string")
+        type_i = subtype_i = None
+        if self.accept(":") is not None:
+            type_i = self.expect("identifier", what="a type")
+            if row.get("subtype") and self.accept(".") is not None:
+                subtype_i = self.expect("identifier", what="a subtype")
 
         _, type_field, default, allowed, unknown = row["type"]
         type_text = default if type_i is None else texts[type_i]
@@ -223,8 +208,7 @@ class _Parser:
             setattr(elem, row["subtype"], texts[subtype_i])
 
         ok = True
-        if kinds[pos] == "[":
-            self.pos = pos + 1
+        if self.accept("[") is not None:
             ok = self.parse_body(elem)
         elem.span = self.span_from(start)
         if ok and elem.kind == "LinguisticRule" and elem.pattern is None:
@@ -296,18 +280,10 @@ class _Parser:
 
     def parse_list(self, elem: Element, keyword: int, clause) -> tuple:
         kind, what = ("identifier", "an identifier") if clause[2] == "ids" else ("string", "a string")
-        kinds, texts = self.kinds, self.texts
-        pos = self.pos
-        values = []
-        while True:
-            if kinds[pos] != kind:
-                self.expected(pos, what)
-            values.append(texts[pos])
-            pos += 1
-            if kinds[pos] != ",":
-                self.pos = pos
-                return tuple(values)
-            pos += 1
+        values = [self.texts[self.expect(kind, what=what)]]
+        while self.accept(",") is not None:
+            values.append(self.texts[self.expect(kind, what=what)])
+        return tuple(values)
 
     def parse_enum(self, elem: Element, keyword: int, clause) -> str:
         allowed = clause[3]
@@ -337,66 +313,37 @@ class _Parser:
         return kind
 
     def parse_attribute(self, entity: DataEntity, keyword: int, clause) -> tuple:
-        """`id "Name" : Type [[constraints (...)] [defaultValue "..."]]`, read inline."""
-        kinds, texts = self.kinds, self.texts
-        id_i = self.pos
-        if kinds[id_i] != "identifier":
-            self.expected(id_i, "an attribute id")
-        name_i = id_i + 1
-        if kinds[name_i] != "string":
-            self.expected(name_i, "an attribute name")
-        if kinds[name_i + 1] != ":":
-            self.expected(name_i + 1, ":")
-        pos = name_i + 2
-        if kinds[pos] != "identifier":
-            self.expected(pos, "a data type")
-        dtype = texts[pos]
-        pos += 1
-        if dtype not in DATA_TYPES:
-            self.pos = pos
-            raise self.fail("RSL-S004", f"Unknown data type '{dtype}'", self.span(pos - 1))
+        """`id "Name" : Type [[constraints (...)] [defaultValue "..."]]`."""
+        texts = self.texts
+        id_i = self.expect("identifier", what="an attribute id")
+        name_i = self.expect("string", what="an attribute name")
+        self.expect(":")
+        type_i = self.expect("identifier", what="a data type")
+        if texts[type_i] not in DATA_TYPES:
+            raise self.fail("RSL-S004", f"Unknown data type '{texts[type_i]}'", self.span(type_i))
         constraints: list[str] = []
         default_value = None
-        if kinds[pos] == "[":
-            pos += 1
-            while kinds[pos] != "]":
-                option = texts[pos] if kinds[pos] == "identifier" else None
-                if option == "constraints":
-                    pos += 1
-                    if kinds[pos] != "(":
-                        self.expected(pos, "(")
-                    pos += 1
+        if self.accept("[") is not None:
+            while self.accept("]") is None:
+                if self.accept("identifier", "constraints") is not None:
+                    self.expect("(")
                     while True:
-                        if kinds[pos] != "identifier":
-                            self.expected(pos, "a constraint")
-                        c = texts[pos]
-                        pos += 1
-                        if c not in CONSTRAINTS:
-                            self.pos = pos
-                            raise self.fail("RSL-S004", f"Unknown constraint '{c}'", self.span(pos - 1))
-                        constraints.append(c)
-                        if kinds[pos] != ",":
+                        c = self.expect("identifier", what="a constraint")
+                        if texts[c] not in CONSTRAINTS:
+                            raise self.fail("RSL-S004", f"Unknown constraint '{texts[c]}'", self.span(c))
+                        constraints.append(texts[c])
+                        if self.accept(",") is None:
                             break
-                        pos += 1
-                    if kinds[pos] != ")":
-                        self.expected(pos, ")")
-                    pos += 1
-                elif option == "defaultValue":
-                    pos += 1
-                    if kinds[pos] != "string":
-                        self.expected(pos, "a string")
-                    default_value = texts[pos]
-                    pos += 1
+                    self.expect(")")
+                elif self.accept("identifier", "defaultValue") is not None:
+                    default_value = texts[self.expect("string", what="a string")]
                 else:
-                    self.pos = pos
-                    raise self.fail("RSL-S002", f"Unexpected token '{texts[pos]}' in attribute options")
-            pos += 1
-        self.pos = pos
+                    raise self.fail("RSL-S002", f"Unexpected token '{texts[self.pos]}' in attribute options")
         return entity.attributes + (
             Attribute(
                 id=texts[id_i],
                 name=texts[name_i],
-                data_type=dtype,
+                data_type=texts[type_i],
                 constraints=tuple(constraints),
                 default_value=default_value,
                 span=self.span_from(keyword),

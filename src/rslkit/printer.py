@@ -15,6 +15,7 @@ from .model import (
     Model,
     PatternExpr,
     PosPart,
+    element_type,
 )
 
 
@@ -60,10 +61,10 @@ def print_element(elem: Element) -> str:
     head = elem.kind + " " + elem.id
     if elem.name is not None:
         head += " " + quote(elem.name)
-    head += " : " + getattr(elem, row["type"][1])
-    subtype = row.get("subtype")
-    if subtype and getattr(elem, subtype):
-        head += "." + getattr(elem, subtype)
+    type_text, subtype = element_type(elem)
+    head += " : " + type_text
+    if subtype:
+        head += "." + subtype
 
     body: list[str] = []
     for keyword, field, shape, _, _ in row["clauses"]:

@@ -1,5 +1,8 @@
 """The Record base: construction, equality, hashing and repr of the value classes."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from rslkit.checks import GlossaryIndex
@@ -10,13 +13,17 @@ from rslkit.model import (
     DataEntity,
     Diagnostic,
     Element,
+    LitPart,
     Model,
     PosPart,
+    Record,
     SourceSpan,
     UseCase,
 )
 from rslkit.template import Call, Name
 from rslkit.workspace import ResolvedModel, Workspace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def span(offset, file="f.rsl"):
@@ -108,3 +115,33 @@ def test_field_tuple_lists_base_fields_first():
         "data_entity_span",
         "extends_span",
     ]
+
+
+def test_one_nan_object_keeps_a_frozen_record_equal_to_itself():
+    # The compared fields form a tuple, and tuple equality tests identity first.
+    nan = float("nan")
+    a, b = LitPart(nan), LitPart(nan)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert LitPart(nan) != LitPart(float("nan"))
+
+
+def test_only_record_defines_equality_and_hash():
+    import rslkit.cli  # noqa: F401  (with docgen and template, every module that defines a record)
+    import rslkit.docgen  # noqa: F401
+    import rslkit.template  # noqa: F401
+
+    frozen = {
+        name
+        for path in (ROOT / "src" / "rslkit").glob("*.py")
+        for name in re.findall(r"^class (\w+)\(.*frozen=True\):", path.read_text(encoding="utf-8"), re.MULTILINE)
+    }
+    classes, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            classes.add(cls)
+            todo.append(cls)
+    assert frozen < {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert "__eq__" not in vars(cls), cls
+        assert cls.__hash__ is (Record.__hash__ if cls.__name__ in frozen else None), cls

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import NULL as ORACLE_NULL
@@ -290,6 +290,14 @@ class TestExpressions:
         assert self.eval("xs[4 / 2]", xs) == 3  # a whole float reads its position
         assert self.eval("'abc'[true]", xs) is NULL
 
+    def test_negative_positions_count_from_the_end_and_strings_index_characters(self):
+        xs = {"xs": [10, 20, 30]}
+        assert self.eval("xs[-1]", xs) == 30
+        assert self.eval("xs[-3]", xs) == 10
+        assert self.eval("xs[-4]", xs) is NULL
+        assert [self.eval(f"'abc'[{i}]") for i in ("1", "-1", "1.0")] == ["b", "c", "b"]
+        assert self.eval("'abc'[3]") is NULL
+
     @needs_digit_limit
     def test_too_long_a_number_to_print_is_a_type_error(self):
         half = "9" * (DIGIT_LIMIT // 2 + 1)
@@ -402,8 +410,14 @@ JSON_VALUES = st.recursive(
 SCOPES = st.lists(st.dictionaries(st.sampled_from(NAMES), JSON_VALUES, max_size=5), min_size=1, max_size=2)
 
 
+# Random lists seldom meet an index in range: these index one with a bool, two floats, a string and a negative int.
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(EXPRESSIONS, SCOPES)
+@example("xs[true]", [{"xs": [10, 20, 30]}])
+@example("xs[1.0]", [{"xs": [10, 20, 30]}])
+@example("xs[1.5]", [{"xs": [10, 20, 30]}])
+@example("xs['1']", [{"xs": [10, 20, 30]}])
+@example("xs[-1]", [{"xs": [10, 20, 30]}])
 def test_evaluate_agrees_with_the_oracle(source, scopes):
     try:
         expr = parse_expression(source)
