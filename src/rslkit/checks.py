@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lexicon import WORD_RE, Lexicon, analyze, builtin_lexicon
+from .lexicon import BUILTIN_LEXICONS, WORD_RE, Lexicon, analyze, builtin_lexicon
 from .model import (
     KIND_TABLE,
     Diagnostic,
@@ -102,8 +102,10 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
     return idx
 
 
-def check_glossary(rm: ResolvedModel, lex: Lexicon, glossary: GlossaryIndex) -> list[Diagnostic]:
+def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], glossary: GlossaryIndex) -> list[Diagnostic]:
     """RSL-V002 for each word of a name or description that is a synonym, by surface or lemma.
+
+    `lex` may be None only when the glossary has no entries.
 
     A screen runs first: a fragment is analyzed only when one of its
     words, lowercased or as the lemma `lex.tag` gives it, is a glossary
@@ -272,10 +274,10 @@ def run_all_checks(
     diags.extend(check_unique_ids(rm))
 
     language = rm.model.language
-    lex = pick_lexicon(language, lexicons)
+    has_lexicon = language in (lexicons or ()) or language in BUILTIN_LEXICONS
     glossary = build_glossary(rm)
     diags.extend(glossary.diagnostics)
-    if lex is None:
+    if not has_lexicon:
         diags.append(
             Diagnostic(
                 "Error",
@@ -284,14 +286,15 @@ def run_all_checks(
                 rm.model.language_decl.span,  # only English goes without a declaration, and it has a lexicon
             )
         )
-        glossary_lex = Lexicon(language=language)
-    else:
-        glossary_lex = lex
-    diags.extend(check_glossary(rm, glossary_lex, glossary))
+    rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
+    # A shipped lexicon loads only for a check that reads it: a rule, or a synonym to look up.
+    lex = None
+    if rules or glossary.entries:
+        lex = pick_lexicon(language, lexicons) if has_lexicon else Lexicon(language=language)
+    diags.extend(check_glossary(rm, lex, glossary))
     diags.extend(check_hierarchy_cycles(rm))
 
-    if lex is not None:
-        rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
+    if has_lexicon and rules:
         diags.extend(check_linguistic_rules(rm, rules, lex))
 
     for inc in rm.model.includes:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
 
 from .checks import run_all_checks
-from .docgen import ensure_valid, generate_json, generate_text, render_template
+from .docgen import dump_json, ensure_valid, generate_json, generate_text, render_template
 from .lexicon import LexiconFormatError, load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
 from .workspace import Workspace, load_workspace, resolve
@@ -166,7 +165,7 @@ def report_json(diags: list[Diagnostic], ws: Workspace, targets: list[str]) -> s
                 ],
             }
         )
-    return json.dumps({"version": 1, "files": files}, indent=2) + "\n"
+    return dump_json({"version": 1, "files": files}, ascii=True)
 
 
 def report_human(diags: list[Diagnostic]) -> str:

@@ -473,6 +473,32 @@ def test_gen_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_the_report_escapes_non_ascii_and_gen_json_writes_utf8(tmp_path, capsys):
+    # The Term's name holds an accented word, a non-BMP character, a tab and an escaped quote;
+    # the synonym in the DataEntity's name carries it into a V002 message, fix title and edit.
+    main_word = 'Façade \U0001f4c4\t"Doc"'
+    spec = tmp_path / "spec.rsl"
+    spec.write_text(
+        'Term t_Facade "Façade \U0001f4c4\t\\"Doc\\"" : Noun [\n  synonyms "Front"\n]\n\n'
+        'DataEntity e_Front "Front" : Document [\n  description "Cover \U0001f4c4\t\\"draft\\""\n]\n',
+        encoding="utf-8",
+    )
+    code, out, _ = run(["check", "--format", "json", str(spec)], capsys)
+    assert code == 0 and out.isascii()
+    escaped = '"Fa\\u00e7ade \\ud83d\\udcc4\\t\\"Doc\\""'
+    assert f'"newText": {escaped}\n' in out
+    assert f"\"message\": \"Replace the word 'Front' by the main word '{escaped[1:-1]}'\"" in out
+    [diag] = json.loads(out)["files"][0]["diagnostics"]
+    assert diag["code"] == "RSL-V002" and diag["fixes"][0]["edits"][0]["newText"] == main_word
+
+    out_path = tmp_path / "doc.json"
+    assert run(["gen", "json", str(spec), "-o", str(out_path)], capsys)[0] == 0
+    data = out_path.read_bytes()
+    assert '"name": "Façade \U0001f4c4\\t\\"Doc\\""'.encode("utf-8") in data
+    assert '"description": "Cover \U0001f4c4\\t\\"draft\\""'.encode("utf-8") in data
+    assert json.loads(data)["elements"]["terms"][0]["name"] == main_word
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 is a usage error (exit 2), never a traceback."""
 

@@ -59,8 +59,12 @@ def test_main_leaves_the_gc_state_as_it_found_it(frozen, enabled, restore_gc, ca
     assert gc_state() == before
 
 
-def cyclic_garbage(workload, workdir, monkeypatch) -> int:
-    """Objects in reference cycles that `check --format json` leaves unreachable, with GC disabled."""
+def cyclic_garbage(workload, workdir, monkeypatch, gen_json=False) -> int:
+    """Objects in reference cycles that `check --format json`, or `gen json`, leaves unreachable, with GC disabled."""
+    if gen_json:
+        argv, expected = ["gen", "json", *workload.gen_inputs, "-o", "out.json"], 0
+    else:
+        argv, expected = ["check", "--format", "json", *workload.inputs], workload.check_exit
     workdir.mkdir()
     for rel, text in workload.files.items():
         (workdir / rel).write_text(text, encoding="utf-8")
@@ -69,7 +73,7 @@ def cyclic_garbage(workload, workdir, monkeypatch) -> int:
     gc.disable()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["check", "--format", "json", *workload.inputs]) == workload.check_exit
+            assert main(argv) == expected
     finally:
         garbage = gc.collect()
         gc.enable()
@@ -82,6 +86,15 @@ def test_a_run_leaves_the_same_cyclic_garbage_at_any_size(tmp_path, monkeypatch,
     cyclic_garbage(small, tmp_path / "warm", monkeypatch)  # first use of the lexicons and regexes
     assert cyclic_garbage(small, tmp_path / "small", monkeypatch) == cyclic_garbage(
         large, tmp_path / "large", monkeypatch
+    )
+
+
+def test_gen_json_leaves_the_same_cyclic_garbage_at_any_size(tmp_path, monkeypatch, restore_gc):
+    gen = _load_gen()
+    small, large = (gen.make("lint_single", 901, scale) for scale in (0.25, 0.5))
+    cyclic_garbage(small, tmp_path / "warm", monkeypatch, gen_json=True)
+    assert cyclic_garbage(small, tmp_path / "small", monkeypatch, gen_json=True) == cyclic_garbage(
+        large, tmp_path / "large", monkeypatch, gen_json=True
     )
 
 

@@ -2,9 +2,14 @@
 
 from pathlib import Path
 
+import pytest
+
 import rslkit.matching
 from conftest import by_code, check_fixture, check_source
+from rslkit.checks import run_all_checks
+from rslkit.lexicon import Lexicon
 from rslkit.model import apply_edits
+from rslkit.workspace import Workspace, add_system, resolve
 from rslkit.printer import print_pattern
 
 UC_RULE = (
@@ -83,6 +88,15 @@ class TestPortugueseScenario:
         _, diags = check_source(src)
         assert by_code(diags, "RSL-C004")
         assert by_code(diags, "RSL-L001") == []
+
+    @pytest.mark.parametrize("body", ["", UC_RULE, 'Term t_1 "Invoice" : Noun [synonyms "Bill"]\n'])
+    def test_missing_lexicon_reported_whether_or_not_a_check_reads_one(self, body):
+        ws = Workspace()
+        rm = resolve(add_system(ws, "Main", "LinguisticLanguage l : Japanese\n" + body, "<test>"), ws)
+        assert [d.message for d in by_code(run_all_checks(rm, ws), "RSL-C004")] == [
+            "No lexicon available for language 'Japanese'; linguistic rules skipped"
+        ]
+        assert by_code(run_all_checks(rm, ws, {"Japanese": Lexicon(language="Japanese")}), "RSL-C004") == []
 
 
 class TestRuleMechanics:

@@ -58,3 +58,15 @@ def test_gen_template_output_is_unchanged(tmp_path, capsys):
         "- Create Customer [EntityCreate] actor=Operator actions=aSave, aCancel\n"
         "- Pay Invoice [EntityUpdate] actor=Customer actions=aPay\n"
     )
+
+
+def test_checking_an_empty_spec_loads_no_lexicon(tmp_path):
+    empty = tmp_path / "empty.rsl"
+    empty.write_text("", encoding="utf-8")
+    code = (
+        "from rslkit.cli import main; from rslkit.lexicon import builtin_lexicon; "
+        f"code = main(['check', {str(empty)!r}]); print(code, builtin_lexicon.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "0"]
