@@ -8,10 +8,10 @@ into one deterministically ordered list.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .lexicon import BUILTIN_LEXICONS, WORD_RE, Lexicon, analyze, builtin_lexicon
 from .model import (
+    BUILTIN_LEXICONS,
     KIND_TABLE,
     Diagnostic,
     LinguisticRuleDecl,
@@ -20,11 +20,47 @@ from .model import (
     Term,
     TextEdit,
 )
-from .rules import check_linguistic_rules, fresh_id
 from .workspace import ResolvedModel, Workspace, inline_include_fix
+
+if TYPE_CHECKING:
+    from .lexicon import Lexicon
+
+
+# The tagger loads with the first lexicon, and the rule checker and its
+# matcher with the first rule: a spec with neither compiles none of them.
+# Each of these is called through this module, where the perfbench trace
+# wraps it.
+
+def builtin_lexicon(language: str) -> Optional[Lexicon]:
+    from .lexicon import builtin_lexicon
+
+    return builtin_lexicon(language)
+
+
+def analyze(text: str, lex: Lexicon) -> list:
+    from .lexicon import analyze
+
+    return analyze(text, lex)
+
+
+def check_linguistic_rules(rm: ResolvedModel, rules: list, lex: Lexicon) -> list[Diagnostic]:
+    from .rules import check_linguistic_rules
+
+    return check_linguistic_rules(rm, rules, lex)
 
 
 # --- duplicate IDs ----------------------------------------------------------
+
+def fresh_id(base: str, taken: set[str]) -> str:
+    """`base`, else the first free `{base}_{n}` with n >= 2; the id chosen joins `taken`."""
+    new_id = base
+    n = 1
+    while new_id in taken:
+        n += 1
+        new_id = f"{base}_{n}"
+    taken.add(new_id)
+    return new_id
+
 
 def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
     groups: dict[str, list] = {}
@@ -116,6 +152,8 @@ def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], glossary: Glossary
     entries = glossary.entries
     if not entries:
         return []
+    from .lexicon import WORD_RE
+
     diags = []
     can_hit: dict = {}  # word -> whether it is a key, lowercased or as its lemma
     for elem in rm.effective_elements:
@@ -290,7 +328,12 @@ def run_all_checks(
     # A shipped lexicon loads only for a check that reads it: a rule, or a synonym to look up.
     lex = None
     if rules or glossary.entries:
-        lex = pick_lexicon(language, lexicons) if has_lexicon else Lexicon(language=language)
+        if has_lexicon:
+            lex = pick_lexicon(language, lexicons)
+        else:
+            from .lexicon import Lexicon
+
+            lex = Lexicon(language=language)
     diags.extend(check_glossary(rm, lex, glossary))
     diags.extend(check_hierarchy_cycles(rm))
 

@@ -13,8 +13,6 @@ import sys
 from pathlib import Path
 
 from .checks import run_all_checks
-from .docgen import dump_json, ensure_valid, generate_json, generate_text, render_template
-from .lexicon import LexiconFormatError, load_lexicon
 from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
 from .workspace import Workspace, load_workspace, resolve
 
@@ -109,6 +107,8 @@ def build_workspace(paths: list[str], args):
 def load_lexicon_overrides(args) -> dict:
     overrides = {}
     for lang, path in parse_mapping(args.lexicon, "--lexicon").items():
+        from .lexicon import LexiconFormatError, load_lexicon
+
         suffix_path = path + ".rules" if Path(path + ".rules").exists() else None
         try:
             overrides[lang] = load_lexicon(path, suffix_path, language=lang)
@@ -165,6 +165,8 @@ def report_json(diags: list[Diagnostic], ws: Workspace, targets: list[str]) -> s
                 ],
             }
         )
+    from .jsonwriter import dump_json
+
     return dump_json({"version": 1, "files": files}, ascii=True)
 
 
@@ -187,8 +189,23 @@ def exit_code(diags: list[Diagnostic]) -> int:
     return 1 if any(d.severity == "Error" for d in diags) else 0
 
 
+# The generators load with `gen`, and the template engine with the first
+# template. Each of these is called through this module, where the
+# perfbench trace wraps it.
+
+def generate_json(rm) -> str:
+    from .docgen import generate_json
+
+    return generate_json(rm)
+
+
+def generate_text(rm) -> str:
+    from .docgen import generate_text
+
+    return generate_text(rm)
+
+
 def parse_template(text: str):
-    # The template engine loads with the first template: only `gen template` uses it.
     from .template import parse_template
 
     return parse_template(text)
@@ -323,6 +340,8 @@ def cmd_fix(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .docgen import ensure_valid, render_template
+
     ws, targets = build_workspace(args.paths, args)
     lexicons = load_lexicon_overrides(args)
     rm = resolve(ws.system(targets[0]), ws)
@@ -360,9 +379,20 @@ def cmd_gen(args) -> int:
 
 # --- entry point -------------------------------------------------------------------
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`: only the commands it names get their arguments.
+
+    argparse hands the rest of the line to the parser of the command
+    that `argv` names, and the top-level help and errors list each
+    command by name and help alone, so the others need no arguments.
+    """
     ap = argparse.ArgumentParser(prog="rslkit", description="Requirements-language toolchain")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name, summary, func):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p if name in argv else None
 
     def shared(p):
         p.add_argument("paths", nargs="+", help="input documents (.rsl)")
@@ -370,26 +400,23 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", help="workspace manifest (systemId=path lines)")
         p.add_argument("--lexicon", action="append", metavar="LANG=PATH", help="lexicon override")
 
-    p = sub.add_parser("check", help="validate documents")
-    shared(p)
-    p.add_argument("--format", choices=["human", "json"], default="human")
-    p.set_defaults(func=cmd_check)
+    if p := command("check", "validate documents", cmd_check):
+        shared(p)
+        p.add_argument("--format", choices=["human", "json"], default="human")
 
-    p = sub.add_parser("fix", help="apply or preview quick fixes")
-    shared(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--apply", action="store_true", help="rewrite files")
-    mode.add_argument("--dry-run", action="store_true", help="preview diffs only")
-    p.add_argument("--create-missing", action="store_true", help="also apply create-element fixes")
-    p.set_defaults(func=cmd_fix)
+    if p := command("fix", "apply or preview quick fixes", cmd_fix):
+        shared(p)
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--apply", action="store_true", help="rewrite files")
+        mode.add_argument("--dry-run", action="store_true", help="preview diffs only")
+        p.add_argument("--create-missing", action="store_true", help="also apply create-element fixes")
 
-    p = sub.add_parser("gen", help="generate documents from a valid specification")
-    p.add_argument("kind", choices=["json", "text", "template"])
-    shared(p)
-    p.add_argument("--template", help="template file (for kind=template)")
-    p.add_argument("-o", "--output", required=True, help="output file")
-    p.add_argument("--lenient", action="store_true", help="render unresolved tags as empty")
-    p.set_defaults(func=cmd_gen)
+    if p := command("gen", "generate documents from a valid specification", cmd_gen):
+        p.add_argument("kind", choices=["json", "text", "template"])
+        shared(p)
+        p.add_argument("--template", help="template file (for kind=template)")
+        p.add_argument("-o", "--output", required=True, help="output file")
+        p.add_argument("--lenient", action="store_true", help="render unresolved tags as empty")
     return ap
 
 
@@ -416,7 +443,8 @@ def main(argv=None) -> int:
 
 
 def run_command(argv=None) -> int:
-    ap = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = make_parser(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -21,11 +21,10 @@ import re
 from functools import cache
 from typing import Optional
 
-from .model import POS_CATEGORIES, Field, Record
+from .model import BUILTIN_LEXICONS, POS_CATEGORIES, Field, Record
 
 UPOS_TAGS = frozenset(POS_CATEGORIES.values())
 
-BUILTIN_LEXICONS = {"English": "en", "Portuguese": "pt"}
 # The shipped lexicons, read by path: `importlib.resources` would import
 # `inspect` (and `ast`, `dis`, `tokenize`) in every command on Python 3.12+.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")

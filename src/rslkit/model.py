@@ -9,7 +9,9 @@ first, with the class attribute of the same name as the default. A
 `Field` default always keeps its field out of `==`, and with
 `repr=False` out of `repr()` too; an empty list or dict default is built
 anew for each instance. Each class gets one generated method, `__init__`
-(positional or keyword arguments, plain assignment), from one `exec`.
+(positional or keyword arguments, plain assignment), from one `exec` at
+the class's first construction, so importing a module compiles none and
+a command compiles only the constructors of the classes it builds.
 `__eq__` and `__hash__` are `Record`'s own: two records are equal when
 they have the same class and equal tuples of compared fields, and the
 hash is that tuple's. Only a class made with `frozen=True` keeps the
@@ -40,7 +42,7 @@ _FRESH = object()  # stands in for an empty list or dict default until __init__ 
 
 
 class _RecordType(type):
-    """Gives each Record class its slots, field tuples, `__init__` and, unless frozen, `__hash__ = None`."""
+    """Gives each Record class its slots, field tuples, a first `__init__` and, unless frozen, `__hash__ = None`."""
 
     def __new__(mcs, name, bases, ns, frozen: bool = False):
         fields, defaults, compared, shown = [], {}, [], []
@@ -67,9 +69,19 @@ class _RecordType(type):
         ns["__slots__"] = own
         ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared), _shown=tuple(shown))
         if bases:
-            ns["__init__"] = _init(fields, defaults)
+            ns["__init__"] = _first_init
             ns["__hash__"] = Record.__hash__ if frozen else None
         return super().__new__(mcs, name, bases, ns)
+
+
+def _first_init(self, *args, **kwargs):
+    """Every record class's `__init__` until its first construction, which puts the generated one in its place.
+
+    Each record class holds its own `__init__`, so `type(self)` is the class being constructed.
+    """
+    cls = type(self)
+    cls.__init__ = _init(cls._fields, cls._defaults)
+    cls.__init__(self, *args, **kwargs)
 
 
 def _init(fields, defaults):
@@ -120,6 +132,8 @@ LANGUAGES = (
     "Portuguese",
     "Japanese",
 )
+# The languages rslkit ships a lexicon for, each with its file stem under `rslkit/data`.
+BUILTIN_LEXICONS = {"English": "en", "Portuguese": "pt"}
 
 DATA_TYPES = ("Integer", "Decimal", "String", "Boolean", "Date", "DateTime")
 CONSTRAINTS = ("PrimaryKey", "NotNull", "Unique")

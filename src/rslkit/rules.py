@@ -7,6 +7,7 @@ diagnostics, and a missing element name yields a create-element quick fix.
 
 from __future__ import annotations
 
+from .checks import fresh_id
 from .lexicon import WORD_RE, Lexicon, analyze, split_sentences
 from .matching import FragmentIndex, MatchResult, fragment_ref, match_pattern
 from .model import (
@@ -26,17 +27,6 @@ ID_PREFIXES = {"DataEntity": "ec", "Actor": "a", "UseCase": "uc"}
 
 def _camel(name: str) -> str:
     return "".join(w[:1].upper() + w[1:] for w in WORD_RE.findall(name))
-
-
-def fresh_id(base: str, taken: set[str]) -> str:
-    """`base`, else the first free `{base}_{n}` with n >= 2; the id chosen joins `taken`."""
-    new_id = base
-    n = 1
-    while new_id in taken:
-        n += 1
-        new_id = f"{base}_{n}"
-    taken.add(new_id)
-    return new_id
 
 
 def _expectation_line(result: MatchResult) -> str:

@@ -21,7 +21,6 @@ from .model import (
     SourceSpan,
     TextEdit,
 )
-from .printer import print_element
 
 MAX_INCLUDE_DEPTH = 16
 _REFERENCES = {
@@ -220,6 +219,8 @@ def inline_include_fix(inc: IncludeDecl, rm: ResolvedModel) -> Optional[Diagnost
     pulled = rm.pulled.get(id(inc))
     if not pulled:
         return None
+    from .printer import print_element  # only an inlinable include prints elements
+
     if inc.mode == "Include":
         title = f"Replace this include specification by the {inc.element_kind} element specification itself."
     else:

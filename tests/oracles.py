@@ -42,8 +42,13 @@ sentinel beside `None`, an if-ladder per binary operator and one per
 builtin. It shares only the expression records and
 `ExpressionTypeError` with the library. Its one change is the index
 rule: only a whole number that is not a bool reads a position.
+
+The argument-parser oracle is `cli.make_parser` as it was when it built
+every command's parser on each call: its help and usage errors are what
+the CLI must still print, byte for byte, on every Python version.
 """
 
+import argparse
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -1822,3 +1827,35 @@ def _oracle_call(expr: Call, scopes: list[dict]):
             raise ExpressionTypeError("join() needs an array")
         return oracle_stringify(args[1]).join(oracle_stringify(v) for v in args[0])
     raise TypeError(name)
+
+
+# --- argument parser ------------------------------------------------------------
+
+def oracle_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="rslkit", description="Requirements-language toolchain")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def shared(p):
+        p.add_argument("paths", nargs="+", help="input documents (.rsl)")
+        p.add_argument("--system", action="append", metavar="NAME=PATH", help="map a system id to a file")
+        p.add_argument("--manifest", help="workspace manifest (systemId=path lines)")
+        p.add_argument("--lexicon", action="append", metavar="LANG=PATH", help="lexicon override")
+
+    p = sub.add_parser("check", help="validate documents")
+    shared(p)
+    p.add_argument("--format", choices=["human", "json"], default="human")
+
+    p = sub.add_parser("fix", help="apply or preview quick fixes")
+    shared(p)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--apply", action="store_true", help="rewrite files")
+    mode.add_argument("--dry-run", action="store_true", help="preview diffs only")
+    p.add_argument("--create-missing", action="store_true", help="also apply create-element fixes")
+
+    p = sub.add_parser("gen", help="generate documents from a valid specification")
+    p.add_argument("kind", choices=["json", "text", "template"])
+    shared(p)
+    p.add_argument("--template", help="template file (for kind=template)")
+    p.add_argument("-o", "--output", required=True, help="output file")
+    p.add_argument("--lenient", action="store_true", help="render unresolved tags as empty")
+    return ap

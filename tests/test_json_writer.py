@@ -1,6 +1,6 @@
-"""`docgen.write_json` against `json.dumps(value, indent=2)`, byte for byte.
+"""`jsonwriter.write_json` against `json.dumps(value, indent=2)`, byte for byte.
 
-`gen json` and `check --format json` call `docgen.dump_json`, which is
+`gen json` and `check --format json` call `jsonwriter.dump_json`, which is
 `write_json` before Python 3.13 and `json.dumps` from 3.13 on; these
 tests call `write_json` itself, so every Python runs them.
 """
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rslkit.docgen import dump_json, write_json
+from rslkit.jsonwriter import dump_json, write_json
 
 # Characters the escapers treat specially, mixed into otherwise arbitrary text.
 SPECIAL = st.sampled_from(["\x00", "\x1f", "\x7f", "\t", "\n", '"', "\\", "/", "\u2028", "\u2029", "\ud800", "\udfff", "é", "📄"])

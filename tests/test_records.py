@@ -1,6 +1,8 @@
 """The Record base: construction, equality, hashing and repr of the value classes."""
 
+import importlib
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from rslkit.checks import GlossaryIndex
 from rslkit.lexicon import Lexicon
 from rslkit.matching import MatchResult
+from rslkit import model
 from rslkit.model import (
     Attribute,
     DataEntity,
@@ -126,22 +129,47 @@ def test_one_nan_object_keeps_a_frozen_record_equal_to_itself():
     assert LitPart(nan) != LitPart(float("nan"))
 
 
-def test_only_record_defines_equality_and_hash():
-    import rslkit.cli  # noqa: F401  (with docgen and template, every module that defines a record)
-    import rslkit.docgen  # noqa: F401
-    import rslkit.template  # noqa: F401
-
-    frozen = {
-        name
-        for path in (ROOT / "src" / "rslkit").glob("*.py")
-        for name in re.findall(r"^class (\w+)\(.*frozen=True\):", path.read_text(encoding="utf-8"), re.MULTILINE)
-    }
+def record_classes() -> set:
+    """Every Record class, with every rslkit module loaded."""
+    for path in (ROOT / "src" / "rslkit").glob("[!_]*.py"):
+        importlib.import_module(f"rslkit.{path.stem}")
     classes, todo = set(), [Record]
     while todo:
         for cls in todo.pop().__subclasses__():
             classes.add(cls)
             todo.append(cls)
+    return classes
+
+
+def test_only_record_defines_equality_and_hash():
+    frozen = {
+        name
+        for path in (ROOT / "src" / "rslkit").glob("*.py")
+        for name in re.findall(r"^class (\w+)\(.*frozen=True\):", path.read_text(encoding="utf-8"), re.MULTILINE)
+    }
+    classes = record_classes()
     assert frozen < {cls.__name__ for cls in classes}
     for cls in classes:
         assert "__eq__" not in vars(cls), cls
         assert cls.__hash__ is (Record.__hash__ if cls.__name__ in frozen else None), cls
+
+
+def test_every_generated_init_compiles_without_a_warning():
+    # A class's `__init__` is generated at its first construction, so importing
+    # rslkit under `-W error` no longer compiles it; this compiles every one.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cls in record_classes():
+            model._init(cls._fields, cls._defaults)
+
+
+def test_the_first_construction_installs_the_generated_init():
+    class Pair(Record):
+        left: int
+        right: list = []
+
+    assert Pair.__init__ is model._first_init
+    first = Pair(1)
+    assert Pair.__init__ is not model._first_init
+    assert (first.left, first.right) == (1, [])
+    assert Pair(2, right=[3]).right == [3] and Pair(4).right is not first.right
