@@ -10,11 +10,13 @@ import argparse
 import gc
 import os
 import sys
+from bisect import bisect_left
+from collections import defaultdict
 from pathlib import Path
 
 from .checks import run_all_checks
-from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits
-from .workspace import Workspace, load_workspace, resolve
+from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits, edit_order
+from .workspace import Workspace, load_workspace, read_spec, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
 
@@ -225,10 +227,12 @@ def cmd_check(args) -> int:
 
 
 def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
-    """Per-file edit lists; identical edits collapse, overlaps are skipped.
+    """Per-file edit lists in `edit_order`; identical edits collapse, overlaps are skipped.
 
     Distinct insertions at one offset (e.g. several created elements
-    appended at end of file) merge into a single edit, in order.
+    appended at end of file) merge into a single edit, in order. The edits
+    chosen never overlap one another, so a new one can overlap only its
+    neighbours in that order.
     """
     wanted = set(AUTO_FIX_CODES) | ({"RSL-L001"} if create_missing else set())
     per_file: dict[str, list] = {}
@@ -244,16 +248,15 @@ def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
             if key in seen:
                 continue
             chosen = per_file.setdefault(span.file, [])
-            if any(e.span.overlaps(span) for e in chosen):
+            at = bisect_left(chosen, (span.offset, span.end_offset), key=edit_order)
+            if any(e.span.overlaps(span) for e in chosen[max(at - 1, 0) : at + 1]):
                 notices.append(f"skipped conflicting fix '{fix.title}' at {span.file}:{span.start_line} (re-run fix)")
                 continue
             seen.add(key)
-            if span.length == 0:
-                at = next((i for i, e in enumerate(chosen) if e.span.length == 0 and e.span.offset == span.offset), None)
-                if at is not None:
-                    chosen[at] = TextEdit(chosen[at].span, chosen[at].new_text + edit.new_text)
-                    continue
-            chosen.append(edit)
+            if span.length == 0 and at < len(chosen) and edit_order(chosen[at]) == (span.offset, span.offset):
+                chosen[at] = TextEdit(chosen[at].span, chosen[at].new_text + edit.new_text)
+                continue
+            chosen.insert(at, edit)
     return per_file, notices
 
 
@@ -268,7 +271,7 @@ def write_atomically(path: str, text: str) -> None:
     except OSError as exc:
         raise UsageError(f"cannot write '{path}': {exc}")
     try:
-        with open(fd, "w", encoding="utf-8") as f:
+        with open(fd, "w", encoding="utf-8", newline="") as f:  # the line endings as they were read
             f.write(text)
         shutil.copymode(target, tmp)
         os.replace(tmp, target)
@@ -280,13 +283,16 @@ def write_atomically(path: str, text: str) -> None:
 def unchanged_on_disk(path: str, text: str) -> bool:
     """Whether `path` still reads as `text`; an unreadable file counts as changed."""
     try:
-        return Path(path).read_text(encoding="utf-8") == text
+        return read_spec(path) == text
     except (OSError, UnicodeDecodeError):
         return False
 
 
 def cmd_fix(args) -> int:
+    from .relex import Lex
+
     ws, targets = build_workspace(args.paths, args)
+    ws.lexes = defaultdict(Lex)  # each parse keeps its lex, so the re-check re-lexes a fixed file only around its edits
     lexicons = load_lexicon_overrides(args)
     diags = check_all(ws, targets, lexicons)
     per_file, notices = collect_fix_edits(diags, args.create_missing)
@@ -330,7 +336,7 @@ def cmd_fix(args) -> int:
     # reuses the workspace: only the systems whose text changed parse again.
     for name, (_text, path) in list(ws.sources.items()):
         if path in fixed:
-            ws.register(name, fixed[path][1], path)
+            ws.register(name, fixed[path][1], path, per_file[path])
     post = check_all(ws, targets, lexicons)
     if not any_fixes and not notices:
         print("no applicable fixes")

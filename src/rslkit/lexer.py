@@ -24,6 +24,15 @@ outside ASCII, so the pattern matches ASCII-started words and digit runs
 directly and any other character takes a per-character path that applies
 the exact predicates.
 
+Text is lexed as read, with its line endings: "\\r\\n", a lone "\\r" and
+"\\n" each end a line, as universal newlines would read them. A string or
+a `//` comment stops at any of them, and `LineTable` counts each as one
+line break, so a spec with CRLF or CR line endings reads as its LF twin.
+
+`fix` lexes a text again after editing it. Given the first lex, kept in a
+`relex.Lex`, and the edits, `tokenize` scans only around each edit and
+copies the other tokens (see `relex`).
+
 A UTF-8 byte-order mark (U+FEFF) at offset 0 is skipped, not tokenized.
 Offsets still index the text as read, so the mark keeps offset 0 and a
 column on line 1 counts it; anywhere else U+FEFF is an error token.
@@ -40,11 +49,11 @@ from bisect import bisect_right
 from .model import SourceSpan
 
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    r"""[ \t\r\n]*(?://[^\r\n]*[ \t\r\n]*)*
     (?:
         (?P<identifier>[A-Za-z_]\w*)
       | (?P<punct>[:\[\](),+|.])
-      | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<close>"?))
+      | (?P<string>"(?P<body>(?:[^"\\\r\n]+|\\["\\]?)*)(?P<close>"?))
       | (?P<digits>[0-9]+)(?![0-9]|[^\x00-\x7f])
       | (?P<other>.)
     )?""",
@@ -91,7 +100,9 @@ class LineTable:
 
 
 def line_starts(source: str) -> list[int]:
-    """Offset of the first character of each line of source."""
+    """Offset of the first character of each line of source; "\\r\\n", a lone "\\r" and "\\n" each end a line."""
+    if "\r" in source:  # the same length, so every offset stands
+        source = source.replace("\r\n", " \n").replace("\r", "\n")
     starts = [0]
     i = source.find("\n")
     while i != -1:
@@ -113,7 +124,7 @@ class Tokens:
 
     __slots__ = ("kinds", "texts", "starts", "ends", "lines")
 
-    def __init__(self, kinds: list, texts: list, starts: list, ends: list, lines: LineTable):
+    def __init__(self, kinds: list, texts: list, starts, ends, lines: LineTable):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
@@ -124,16 +135,45 @@ class Tokens:
         return len(self.kinds)
 
 
-def tokenize(source: str, file: str = "<memory>") -> Tokens:
+def tokenize(source: str, file: str = "<memory>", lex=None) -> Tokens:
+    """The tokens of `source`; `lex` is a `relex.Lex`, see there."""
+    previous = edits = None
+    if lex is not None:
+        previous, edits = lex.tokens, lex.edits
+        lex.tokens = lex.edits = None
     kinds: list[str] = []
     texts: list[str] = []
     starts: list[int] = []
     ends: list[int] = []
+    n = len(source)
+    pos = 1 if source.startswith("\ufeff") else 0  # a byte-order mark is skipped; offsets still count it
+    if previous is None or edits is None:
+        _scan(source, pos, n + 1, kinds, texts, starts, ends)
+    else:
+        from .relex import relex
+
+        relex(source, pos, previous, edits, kinds, texts, starts, ends)
+    kinds.append("end")
+    texts.append("")
+    starts.append(n)
+    ends.append(n)
+    lines = LineTable(source, file)
+    if lex is not None and edits is None:
+        from array import array
+
+        lex.tokens = Tokens(kinds, texts, array("q", starts), array("q", ends), lines)
+    return Tokens(kinds, texts, starts, ends, lines)
+
+
+def _scan(source: str, pos: int, stop: int, kinds: list, texts: list, starts: list, ends: list) -> int | None:
+    """Append the tokens from `pos` on, up to the first that ends at or past `stop`.
+
+    Returns that token's end, or None when the text ran out first. Skipping
+    a byte-order mark at offset 0 is the caller's job.
+    """
     kind_append, text_append, start_append, end_append = kinds.append, texts.append, starts.append, ends.append
     scan = _TOKEN_RE.finditer
-    pos, n = 0, len(source)
-    if source.startswith("\ufeff"):
-        pos = 1  # skip a byte-order mark; offsets still count it
+    n = len(source)
     while True:
         for m in scan(source, pos):
             group = m.lastgroup
@@ -168,16 +208,15 @@ def tokenize(source: str, file: str = "<memory>") -> Tokens:
                 text_append(source[start:pos])
                 start_append(start)
                 end_append(pos)
+                if pos >= stop:
+                    return pos
                 if pos != m.end():
                     break  # a non-ASCII word or digit run: scan again after it
                 continue
             start, end = m.span(group)
             start_append(start)
             end_append(end)
+            if end >= stop:
+                return end
         else:
-            break
-    kinds.append("end")
-    texts.append("")
-    starts.append(n)
-    ends.append(n)
-    return Tokens(kinds, texts, starts, ends, LineTable(source, file))
+            return None

@@ -239,13 +239,14 @@ class OverlappingEdits(Exception):
     """Two text edits intersect; the combined result would be ambiguous."""
 
 
-def apply_edits(source: str, edits: list[TextEdit] | tuple[TextEdit, ...]) -> str:
-    """Apply non-overlapping edits to source text.
+def edit_order(edit: TextEdit) -> tuple[int, int]:
+    """Sort key of an edit: an insertion comes before an edit that starts at its offset."""
+    return edit.span.offset, edit.span.end_offset
 
-    Edits may be given in any order; they are applied in descending offset
-    order so earlier offsets stay valid.
-    """
-    ordered = sorted(edits, key=lambda e: (e.span.offset, e.span.end_offset))
+
+def apply_edits(source: str, edits: list[TextEdit] | tuple[TextEdit, ...]) -> str:
+    """Apply non-overlapping edits to source text, given in any order, in one pass."""
+    ordered = sorted(edits, key=edit_order)
     for a, b in zip(ordered, ordered[1:]):
         if a.span.overlaps(b.span):
             raise OverlappingEdits(f"edits at {a.span.offset} and {b.span.offset} overlap")
@@ -257,10 +258,13 @@ def apply_edits(source: str, edits: list[TextEdit] | tuple[TextEdit, ...]) -> st
         ):
             # Two distinct insertions at one point have no defined order.
             raise OverlappingEdits(f"conflicting insertions at {a.span.offset}")
-    out = source
-    for e in reversed(ordered):
-        out = out[: e.span.offset] + e.new_text + out[e.span.end_offset :]
-    return out
+    parts = []
+    at = 0  # the end of the last edit, where the next kept slice starts
+    for e in ordered:
+        parts += (source[at : e.span.offset], e.new_text)
+        at = e.span.end_offset
+    parts.append(source[at:])
+    return "".join(parts)
 
 
 # --- pattern expressions ------------------------------------------------

@@ -64,8 +64,8 @@ class _GiveUp(Exception):
 
 
 class _Parser:
-    def __init__(self, source: str, file: str):
-        tokens = tokenize(source, file)
+    def __init__(self, source: str, file: str, lex):
+        tokens = tokenize(source, file, lex)
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.starts = tokens.starts
@@ -404,8 +404,12 @@ _CLAUSE_VALUE = {
 }
 
 
-def parse(source: str, file: str = "<memory>") -> tuple[Model, list[Diagnostic]]:
-    """Parse a document; never raises on malformed input."""
-    p = _Parser(source, file)
+def parse(source: str, file: str = "<memory>", lex=None) -> tuple[Model, list[Diagnostic]]:
+    """Parse a document; never raises on malformed input.
+
+    `lex` keeps this file's tokens for a parse of its edited text, which
+    then scans only around the edits (see `relex.Lex`).
+    """
+    p = _Parser(source, file, lex)
     model = p.parse_document()
     return model, p.diagnostics

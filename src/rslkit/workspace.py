@@ -35,22 +35,31 @@ class Workspace(Record):
     systems: dict = {}  # system id -> Model, the systems parsed so far
     parse_diagnostics: dict = {}  # system id -> [Diagnostic]
     io_errors: list = []  # (system id, path, message)
+    lexes: Optional[dict] = None  # system id -> relex.Lex of its last parse; `fix` sets a defaultdict(Lex)
 
     def __contains__(self, system_id: str) -> bool:
         return system_id in self.sources
 
-    def register(self, system_id: str, source: str, file: str) -> None:
-        """Record a system's text; an earlier parse of that system is dropped."""
+    def register(self, system_id: str, source: str, file: str, edits=None) -> None:
+        """Record a system's text; an earlier parse of that system is dropped.
+
+        `edits` are the non-overlapping `TextEdit`s, in `model.edit_order`,
+        that made `source` from the system's last parsed text. If that parse
+        kept its lex, the next parse scans only around them.
+        """
         self.systems.pop(system_id, None)
         self.parse_diagnostics.pop(system_id, None)
         self.sources[system_id] = (source, file)
+        if self.lexes is not None and system_id in self.lexes:
+            self.lexes[system_id].edits = edits
 
     def system(self, system_id: str) -> Optional[Model]:
         """Model of a registered system, parsed on the first request; None if unknown."""
         model = self.systems.get(system_id)
         if model is None and system_id in self.sources:
             source, file = self.sources[system_id]
-            model, diags = parser.parse(source, file)
+            lex = None if self.lexes is None else self.lexes[system_id]
+            model, diags = parser.parse(source, file, lex)
             self.systems[system_id] = model
             self.parse_diagnostics[system_id] = diags
         return model
@@ -60,12 +69,17 @@ class Workspace(Record):
         return next((name for name, m in self.systems.items() if m is model), None)
 
 
+def read_spec(path: str) -> str:
+    """A spec's UTF-8 text with its line endings as they are on disk, so that `fix` writes them back unchanged."""
+    return Path(path).read_bytes().decode("utf-8")
+
+
 def load_workspace(files: list[tuple[str, str]]) -> Workspace:
     """Read every (systemId, path) pair and register it unparsed; read and decode failures are recorded, not raised."""
     ws = Workspace()
     for system_id, path in files:
         try:
-            source = Path(path).read_text(encoding="utf-8")
+            source = read_spec(path)
         except (OSError, UnicodeDecodeError) as exc:
             ws.io_errors.append((system_id, path, str(exc)))
             continue

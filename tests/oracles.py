@@ -10,7 +10,8 @@ and memoizes nothing, so it is exponential on adversarial input.
 
 The tokenizer oracle is the character loop the lexer used to be: it
 walks every character to keep line and column and builds every span
-eagerly.
+eagerly. A line ends at "\r\n", a lone "\r" or "\n", as with universal
+newlines, and a string or a `//` comment stops at either character.
 
 The workspace-loader oracle is the eager loader the CLI used to have: it
 parses every input and manifest entry up front, whether or not a target
@@ -46,6 +47,11 @@ rule: only a whole number that is not a bool reads a position.
 The argument-parser oracle is `cli.make_parser` as it was when it built
 every command's parser on each call: its help and usage errors are what
 the CLI must still print, byte for byte, on every Python version.
+
+The fix-edit oracles are `cli.collect_fix_edits` and `model.apply_edits`
+as they were before each became one pass: the first tests a new edit
+against every edit chosen so far and keeps each file's edits in the order
+found, the second re-slices the whole text once per edit.
 """
 
 import argparse
@@ -80,6 +86,7 @@ from rslkit.model import (
     LinguisticRuleDecl,
     LitPart,
     Model,
+    OverlappingEdits,
     PatternExpr,
     PosPart,
     QuickFix,
@@ -270,9 +277,10 @@ def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
     i, n = 0, len(source)
 
     def advance(text: str):
+        """Move past `text`, which is source[i:i + len(text)]."""
         nonlocal line, col
-        for ch in text:
-            if ch == "\n":
+        for k, ch in enumerate(text, start=i):
+            if ch == "\n" or (ch == "\r" and source[k + 1 : k + 2] != "\n"):
                 line += 1
                 col = 1
             else:
@@ -292,8 +300,9 @@ def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
             i += 1
             continue
         if ch == "/" and source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j == -1 else j
+            j = i
+            while j < n and source[j] not in "\r\n":
+                j += 1
             advance(source[i:j])
             i = j
             continue
@@ -312,7 +321,7 @@ def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:
                     terminated = True
                     j += 1
                     break
-                if c == "\n":
+                if c in "\r\n":
                     break
                 value.append(c)
                 j += 1
@@ -1859,3 +1868,49 @@ def oracle_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output file")
     p.add_argument("--lenient", action="store_true", help="render unresolved tags as empty")
     return ap
+
+
+def oracle_collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
+    wanted = set(cli.AUTO_FIX_CODES) | ({"RSL-L001"} if create_missing else set())
+    per_file: dict[str, list] = {}
+    notices: list[str] = []
+    seen = set()
+    for d in diags:
+        if d.code not in wanted or not d.fixes:
+            continue
+        fix = d.fixes[0]
+        for edit in fix.edits:
+            span = edit.span
+            key = (span.file, span.offset, span.length, edit.new_text)
+            if key in seen:
+                continue
+            chosen = per_file.setdefault(span.file, [])
+            if any(e.span.overlaps(span) for e in chosen):
+                notices.append(f"skipped conflicting fix '{fix.title}' at {span.file}:{span.start_line} (re-run fix)")
+                continue
+            seen.add(key)
+            if span.length == 0:
+                at = next((i for i, e in enumerate(chosen) if e.span.length == 0 and e.span.offset == span.offset), None)
+                if at is not None:
+                    chosen[at] = TextEdit(chosen[at].span, chosen[at].new_text + edit.new_text)
+                    continue
+            chosen.append(edit)
+    return per_file, notices
+
+
+def oracle_apply_edits(source: str, edits) -> str:
+    ordered = sorted(edits, key=lambda e: (e.span.offset, e.span.end_offset))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.span.overlaps(b.span):
+            raise OverlappingEdits(f"edits at {a.span.offset} and {b.span.offset} overlap")
+        if (
+            a.span.offset == b.span.offset
+            and a.span.length == 0
+            and b.span.length == 0
+            and a.new_text != b.new_text
+        ):
+            raise OverlappingEdits(f"conflicting insertions at {a.span.offset}")
+    out = source
+    for e in reversed(ordered):
+        out = out[: e.span.offset] + e.new_text + out[e.span.end_offset :]
+    return out

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, check_source
+from oracles import oracle_collect_fix_edits
 from rslkit import cli
-from rslkit.cli import main
+from rslkit.cli import collect_fix_edits, main
+from rslkit.model import Diagnostic, QuickFix, SourceSpan, TextEdit
 from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS
 from test_lexer import PIECES
 from test_template import DIGIT_LIMIT, needs_digit_limit
@@ -29,6 +31,10 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# RSL-like text: every character class of the lexer plus every keyword.
+RSL_PIECES = PIECES + [k + " " for k in sorted(TOP_KEYWORDS | BODY_KEYWORDS)]
 
 
 class TestCheck:
@@ -326,11 +332,83 @@ class TestFix:
     def test_dry_run_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
         reads = []
-        real_read = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, **kw: reads.append(str(self)) or real_read(self, **kw))
+        real_read = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(str(self)) or real_read(self))
         code, out, _ = run(["fix", "--dry-run", "--create-missing", str(doc)], capsys)
         assert code == 0 and "+++" in out
         assert reads == [str(doc)]
+
+
+@st.composite
+def fix_diagnostics(draw):
+    """Diagnostics whose fixes edit two files with edits that coincide, overlap, touch or insert at one point."""
+    edit = st.builds(
+        lambda file, offset, length, text: TextEdit(SourceSpan(file, offset, 1, offset, 1, offset, length), text),
+        st.sampled_from(["a.rsl", "b.rsl"]),
+        st.integers(0, 12),
+        st.integers(0, 3),
+        st.sampled_from(["", "x", "yy"]),
+    )
+    fix = st.builds(QuickFix, st.sampled_from(["Rename", "Delete"]), st.lists(edit, max_size=3).map(tuple))
+    diagnostic = st.builds(
+        lambda code, fixes: Diagnostic("Error", code, "m", SourceSpan("a.rsl", 1, 1, 1, 1, 0, 0), fixes=tuple(fixes)),
+        st.sampled_from(["RSL-V001", "RSL-V003", "RSL-I001", "RSL-L001", "RSL-R001"]),
+        st.lists(fix, max_size=2),
+    )
+    return draw(st.lists(diagnostic, max_size=12))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(fix_diagnostics(), st.booleans())
+def test_collect_fix_edits_chooses_what_the_oracle_chooses(diags, create_missing):
+    """The same edits, merges and notices as testing every chosen edit; each file's edits come in offset order."""
+    per_file, notices = collect_fix_edits(diags, create_missing)
+    want, want_notices = oracle_collect_fix_edits(diags, create_missing)
+    assert notices == want_notices
+    assert list(per_file) == list(want)
+    for file, edits in want.items():
+        assert per_file[file] == sorted(edits, key=lambda e: (e.span.offset, e.span.end_offset))
+
+
+class TestLineEndings:
+    """`fix` writes back the line endings it read, and "\\r\\n" or a lone "\\r" ends a line as "\\n" does."""
+
+    SPEC = 'Actor a_1 "Clerk" : User\n\nActor a_1 "Clerk" : User\n// the end\n'
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_apply_changes_only_the_fixed_line(self, newline, tmp_path, capsys):
+        doc = tmp_path / "spec.rsl"
+        doc.write_bytes(self.SPEC.replace("\n", newline).encode("utf-8"))
+        code, out, _ = run(["fix", "--dry-run", str(doc)], capsys)
+        changed = [line for line in out.splitlines() if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+        assert code == 0 and changed == ['-Actor a_1 "Clerk" : User', '+Actor a_1_2 "Clerk" : User']
+        code, out, _ = run(["fix", "--apply", str(doc)], capsys)
+        fixed = self.SPEC.replace('\nActor a_1 "', '\nActor a_1_2 "').replace("\n", newline)
+        assert code == 0 and doc.read_bytes() == fixed.encode("utf-8")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.rsl")))
+    def test_crlf_and_cr_twins_of_a_fixture_report_what_it_reports(self, name, tmp_path, capsys):
+        shutil.copy(FIXTURES / "system_rules.rsl", tmp_path)
+        extra = ["--system", f"SystemRules={tmp_path / 'system_rules.rsl'}"] if name == "billing_include.rsl" else []
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        reports = []
+        for newline in ("\n", "\r\n", "\r"):
+            doc = tmp_path / name
+            doc.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code, out, _ = run(["check", "--format", "json", str(doc), *extra], capsys)
+            reports.append((code, json.loads(out)["files"]))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([p for p in RSL_PIECES if "\r" not in p]), max_size=60).map("".join))
+    def test_twins_of_rsl_like_text_report_what_it_reports(self, source):
+        def seen(text):
+            return [
+                (d.code, d.message, d.span.start_line, d.span.start_col, d.span.end_line, d.span.end_col)
+                for d in check_source(text)[1]
+            ]
+
+        assert seen(source.replace("\n", "\r\n")) == seen(source) == seen(source.replace("\n", "\r"))
 
 
 class TestGen:
@@ -633,8 +711,6 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
-# RSL-like text: every character class of the lexer plus every keyword.
-RSL_PIECES = PIECES + [k + " " for k in sorted(TOP_KEYWORDS | BODY_KEYWORDS)]
 
 
 @settings(

@@ -1,7 +1,10 @@
 """Spans, text edits, pattern rendering, diagnostic ordering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_apply_edits
 from rslkit.model import (
     FRAGMENTS,
     AltPart,
@@ -50,6 +53,32 @@ class TestApplyEdits:
         # A zero-length edit at the boundary of another edit is not an overlap.
         edits = [TextEdit(span(2, 0), "X"), TextEdit(span(2, 2), "YY")]
         assert apply_edits("abcd", edits) == "abXYY"
+
+
+@st.composite
+def text_and_edits(draw):
+    source = draw(st.text("abc", max_size=12))
+    edits = []
+    for _ in range(draw(st.integers(0, 5))):
+        offset = draw(st.integers(0, len(source)))
+        length = draw(st.integers(0, len(source) - offset))
+        edits.append(TextEdit(span(offset, length), draw(st.sampled_from(["", "X", "YY"]))))
+    return source, edits
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(text_and_edits())
+def test_apply_edits_in_one_pass_matches_the_oracle(case):
+    """The text of the edit-by-edit oracle, or the same `OverlappingEdits` message."""
+    source, edits = case
+    try:
+        want = oracle_apply_edits(source, edits)
+    except OverlappingEdits as exc:
+        with pytest.raises(OverlappingEdits) as got:
+            apply_edits(source, edits)
+        assert str(got.value) == str(exc)
+    else:
+        assert apply_edits(source, edits) == want
 
 
 class TestSpans:

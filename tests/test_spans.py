@@ -21,8 +21,12 @@ PIECES = ["\n", "\n\n", "\r\n", "\r", "a", "bc", " ", "é", "Actor a_1", '"x"']
 
 
 def line_col(source: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of offset, by counting newlines (as tests/test_parser.py does)."""
-    return source.count("\n", 0, offset) + 1, offset - (source.rfind("\n", 0, offset) + 1) + 1
+    """1-based line and column of offset, by counting line ends: "\\r\\n", a lone "\\r" or "\\n"."""
+    line, start = 1, 0
+    for i, ch in enumerate(source[:offset]):
+        if ch == "\n" or (ch == "\r" and source[i + 1 : i + 2] != "\n"):
+            line, start = line + 1, i + 1
+    return line, offset - start + 1
 
 
 @st.composite

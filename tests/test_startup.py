@@ -120,6 +120,7 @@ NOT_FOR_A_PLAIN_CHECK = (
     "rslkit.lexicon",
     "rslkit.matching",
     "rslkit.printer",
+    "rslkit.relex",
     "rslkit.rules",
     "rslkit.template",
 )

@@ -235,7 +235,7 @@ def test_load_workspace_parses_on_demand(tmp_path):
         (tmp_path / f"{name}.rsl").write_text(f'Actor a_{name} "Clerk" : User\n', encoding="utf-8")
     parsed = []
     real_parse = rslkit.parser.parse
-    with mock.patch.object(rslkit.parser, "parse", lambda source, file: parsed.append(file) or real_parse(source, file)):
+    with mock.patch.object(rslkit.parser, "parse", lambda source, file, lex: parsed.append(file) or real_parse(source, file, lex)):
         ws = load_workspace([("A", str(tmp_path / "a.rsl")), ("B", str(tmp_path / "b.rsl"))])
         assert parsed == [] and ws.systems == {}
         assert "A" in ws and "B" in ws and ws.io_errors == []

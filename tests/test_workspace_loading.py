@@ -149,9 +149,9 @@ def counted_parses():
     calls = Counter()
     real = rslkit.parser.parse
 
-    def parse(source, file="<memory>"):
+    def parse(source, file="<memory>", lex=None):
         calls[Path(file).name] += 1
-        return real(source, file)
+        return real(source, file, lex)
 
     with mock.patch.object(rslkit.parser, "parse", parse):
         yield calls
