@@ -55,6 +55,8 @@ def read_manifest(path: str) -> dict:
         name, rel = name.strip(), rel.strip()
         if not sep or not name or not rel:
             raise UsageError(f"bad manifest line '{line}'")
+        if "\0" in rel:  # no file name holds one: opening it would raise ValueError
+            raise UsageError(f"bad manifest line {line!r}: a path cannot hold a NUL byte")
         mapping[name] = str(base / rel)
     return mapping
 

@@ -117,7 +117,8 @@ class Tokens:
     `kinds[i]` is "identifier", "string", "error", "end" or, for a
     punctuation mark, the mark itself; `texts[i]` is the surface text (for
     a string, its decoded value); `starts[i]`/`ends[i]` are offsets into
-    the source. There is no per-token object to index or iterate over;
+    the source (`array("q")`s for a re-lexed text, see `relex`). There is
+    no per-token object to index or iterate over;
     `len()` stays because the benchmark's trace of `tokenize` counts
     tokens with it.
     """
@@ -140,7 +141,7 @@ def tokenize(source: str, file: str = "<memory>", lex=None) -> Tokens:
     previous = edits = None
     if lex is not None:
         previous, edits = lex.tokens, lex.edits
-        lex.tokens = lex.edits = None
+        lex.tokens = lex.edits = lex.runs = None
     kinds: list[str] = []
     texts: list[str] = []
     starts: list[int] = []
@@ -150,9 +151,14 @@ def tokenize(source: str, file: str = "<memory>", lex=None) -> Tokens:
     if previous is None or edits is None:
         _scan(source, pos, n + 1, kinds, texts, starts, ends)
     else:
+        from array import array
+
         from .relex import relex
 
-        relex(source, pos, previous, edits, kinds, texts, starts, ends)
+        # Packed, as `relex.Lex` keeps the old ones: the re-lex runs while the
+        # old tokens and the declarations the re-parse keeps are alive too.
+        starts, ends = array("q"), array("q")
+        lex.runs = relex(source, pos, previous, edits, kinds, texts, starts, ends)
     kinds.append("end")
     texts.append("")
     starts.append(n)

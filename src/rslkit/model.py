@@ -153,7 +153,8 @@ class SourceSpan:
     of a parse come from `lexer.LineTable.span` instead: they hold the
     file, offset, length and the line table, and leave the four line and
     column slots unset until one is first read, when `__getattr__` fills
-    all four from the table. `==`, `hash` and `repr()` read all seven
+    all four from the table and lets go of it: a span holds a table only
+    while its lines are unread. `==`, `hash` and `repr()` read all seven
     fields, so a lazy span equals the eager span with the same values.
     """
 
@@ -172,7 +173,8 @@ class SourceSpan:
     def __getattr__(self, name):  # reached only for a slot that is unset
         if name not in _LINE_COLS:
             raise AttributeError(name)
-        self.start_line, self.start_col, self.end_line, self.end_col = self._lines.line_cols(
+        lines, self._lines = self._lines, None
+        self.start_line, self.start_col, self.end_line, self.end_col = lines.line_cols(
             self.offset, self.offset + self.length
         )
         return getattr(self, name)

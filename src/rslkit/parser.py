@@ -74,6 +74,15 @@ class _Parser:
         self.pos = 0  # index of the next token
         self.file = file
         self.diagnostics: list[Diagnostic] = []
+        # A parse whose lex is kept records its declarations, and the parse
+        # of the re-lexed text keeps those whose tokens were copied (see `relex.Lex`).
+        self.decls = self.kept = None
+        if lex is not None and lex.tokens is not None:
+            self.decls = lex.decls = []
+        elif lex is not None and lex.runs is not None:
+            from .relex import Kept
+
+            self.kept = Kept(lex, tokens.lines)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -132,19 +141,28 @@ class _Parser:
 
     def parse_document(self) -> Model:
         model = Model(file=self.file)
-        kinds, texts = self.kinds, self.texts
+        kinds, texts, kept, decls = self.kinds, self.texts, self.kept, self.decls
         while kinds[self.pos] != "end":
             pos = self.pos
+            taken = kept and kept.take(pos)
+            if taken:  # declarations of the first parse that the edits left alone, spans shifted
+                elements, includes, diags, self.pos = taken
+                model.elements += elements
+                model.includes += includes
+                self.diagnostics += diags
+                continue
             text = texts[pos]
             before = len(self.diagnostics)
+            decl = None
             try:
                 if kinds[pos] != "identifier" or text not in TOP_KEYWORDS:
                     self.pos = pos + 1
                     raise self.fail("RSL-S001", f"Unknown declaration '{text}'", self.span(pos))
                 if text in INCLUDE_KEYWORDS:
-                    model.includes.append(self.parse_include())
+                    decl = self.parse_include()
+                    model.includes.append(decl)
                 else:
-                    elem = self.parse_element()
+                    decl = elem = self.parse_element()
                     model.elements.append(elem)
                     if elem.kind == "LinguisticLanguage":
                         if model.language_decl is None:
@@ -155,6 +173,8 @@ class _Parser:
                 pass
             if len(self.diagnostics) > before:
                 self.skip_to_top()
+            if decls is not None:
+                decls.append((pos, self.pos, decl, tuple(self.diagnostics[before:])))
         model.end_span = self.span(len(kinds) - 1)
         return model
 

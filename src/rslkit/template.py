@@ -8,7 +8,6 @@ operator and a handful of builtins.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 import sys
@@ -337,6 +336,8 @@ def stringify(value) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(map(stringify, value))
     if isinstance(value, dict):
+        import json  # loaded here only: most templates print no dict
+
         return json.dumps(value, separators=(", ", ": "))
     try:
         return str(value)

@@ -282,12 +282,13 @@ class TestHierarchyCycles:
         assert by_code(diags, "RSL-V003") == []
 
 
-def random_graph(rng, max_nodes=12, density=0.5):
+def random_graph(rng, max_nodes=12, density=0.5, outside=0):
+    """Nodes 0..n-1 with random edges; `outside` more nodes that are successors only, not keys of the graph."""
     n = rng.randint(1, max_nodes)
     p = rng.uniform(0, density)
     graph = {i: [] for i in range(n)}
     for a in range(n):
-        for b in range(n):
+        for b in range(n + outside):
             if rng.random() < p:
                 graph[a].append(b)
     return graph
@@ -302,7 +303,8 @@ class TestCycleDetector:
     def test_matches_reachability_oracle(self):
         rng = random.Random(1)
         for _ in range(300):
-            graph = random_graph(rng)
+            # A successor outside the graph (a reference to no element) is skipped by both.
+            graph = random_graph(rng, outside=3)
             assert cycle_nodes(graph) == oracle_cycle_nodes(graph)
 
     def test_oracles_agree_on_tiny_graphs(self):

@@ -136,6 +136,14 @@ class TestCheck:
         code, out, err = run(["check", str(doc), "--manifest", str(manifest)], capsys)
         assert (code, out, err) == (2, "", f"error: bad manifest line '{line}'\n")
 
+    def test_manifest_path_with_a_nul_byte_is_a_usage_error(self, tmp_path, capsys):
+        doc = copy_fixture(tmp_path, "billing_defects.rsl")
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"A=figure7\0.rsl\n")
+        code, out, err = run(["check", "--manifest", str(manifest), str(doc)], capsys)
+        message = "error: bad manifest line 'A=figure7\\x00.rsl': a path cannot hold a NUL byte\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_manifest_id_equal_to_a_stem_of_another_file_is_a_usage_error(self, tmp_path, capsys):
         doc = copy_fixture(tmp_path, "billing_clean.rsl")
         manifest = tmp_path / "workspace.txt"
@@ -705,6 +713,13 @@ class TestMalformedLexicon:
         assert err == (
             f"error: cannot read lexicon '{lexicon}': {lexicon}.rules:2: expected -suffix<TAB>UPOS<TAB>strip:append\n"
         )
+
+    def test_rules_upos(self, tmp_path, capsys):
+        lexicon = tmp_path / "en.tsv"
+        lexicon.write_text("invoice\tinvoice\tNOUN\n", encoding="utf-8")
+        (tmp_path / "en.tsv.rules").write_text("-ing\tVERBISH\t:\n", encoding="utf-8")
+        err = self.run_with(["check"], lexicon, tmp_path, capsys)
+        assert err == f"error: cannot read lexicon '{lexicon}': {lexicon}.rules:1: unknown UPOS tag 'VERBISH'\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -117,7 +117,8 @@ class TestLoading:
         lex_path = tmp_path / "l.tsv"
         lex_path.write_text("x\tx\tNOUN\n")
         rules_path = tmp_path / "l.rules"
-        rules_path.write_text("-zzz\tVERB\tzzz:ze\n")
+        # The first rule's suffix matches "whizzz" but its strip text does not, so the second rule tags it.
+        rules_path.write_text("-z\tADJ\tyz:\n-zzz\tVERB\tzzz:ze\n")
         lex = load_lexicon(str(lex_path), str(rules_path))
         (tok,) = analyze("whizzz", lex)
         assert tok.tags == frozenset({"VERB"})

@@ -1,12 +1,16 @@
-"""The re-lex of an edited text against a full lex, and the fix loop that uses it.
+"""The re-lex and re-parse of an edited text against a full lex and parse, and the fix loop that uses them.
 
-`fix` keeps each file's first lex; the re-check lexes a fixed file again
-only around its edits (`relex.relex`). Whatever the text and the edits,
-that lex must equal `tokenize` of the new text in all four lists. These
-tests check it on random texts with random edits, on every fixture with
-its own fix edits and on the benchmark workloads with theirs, and they
-run `fix --apply` on malformed fixture mutants: its exit code and its
-re-check must agree with a fresh `check` of the file it wrote.
+`fix` keeps each file's first lex and declarations; the re-check lexes a
+fixed file again only around its edits (`relex.relex`) and keeps each
+declaration whose tokens were all copied (`relex.Kept`). Whatever the
+text and the edits, that lex must equal `tokenize` of the new text in all
+four lists, and that parse must equal `parse` of the new text: the same
+model, the same diagnostics, and every span the same in all seven
+fields, line and column included (spans are outside a model's `==`).
+These tests check it on random texts with random edits, on every fixture
+with its own fix edits and on the benchmark workloads with theirs, and
+they run `fix --apply` on malformed fixture mutants: its exit code and
+its re-check must agree with a fresh `check` of the file it wrote.
 """
 
 import contextlib
@@ -26,10 +30,11 @@ from rslkit import cli
 from rslkit.cli import check_all, collect_fix_edits, main
 from rslkit.lexer import tokenize
 from rslkit.model import SourceSpan, TextEdit, apply_edits
+from rslkit.parser import parse
 from rslkit.relex import Lex
 from rslkit.workspace import Workspace, add_system, load_workspace
 from test_lexer import PIECES
-from test_parser_oracle import FIXTURE_TEXTS, mutate
+from test_parser_oracle import FIXTURE_TEXTS, all_spans, mutate
 
 # The lexer's character classes, plus a byte-order mark, comments and
 # strings whole, so that an edit can open, close or split each of them.
@@ -52,6 +57,35 @@ def relexed(old: str, edits: list, new: str):
 
 def assert_relex_equals_tokenize(old: str, edits: list, new: str):
     assert lists(relexed(old, edits, new)) == lists(tokenize(new, "f.rsl")), (old, new)
+
+
+def reparsed(old: str, edits: list, new: str, read_lines: bool = False):
+    """The parse of `new` from a parse of `old` kept in a `Lex`, after `edits`.
+
+    With `read_lines`, every span of the first parse has its line and
+    column read before the re-parse, as a check's report would.
+    """
+    lex = Lex()
+    first = parse(old, "f.rsl", lex)
+    if read_lines:
+        repr((all_spans(first[0]), first[1]))  # a span's repr() reads its line and column
+    lex.edits = edits
+    result = parse(new, "f.rsl", lex)
+    assert lex.decls is None and lex.runs is None  # the first parse is not kept past its use
+    return result
+
+
+def assert_same_parse(got, want, context=None):
+    """The same model and diagnostics, every span equal in all seven fields."""
+    (model, diags), (full, full_diags) = got, want
+    assert diags == full_diags, context
+    assert model == full, context
+    assert all_spans(model) == all_spans(full), context
+    assert [e is model.language_decl for e in model.elements] == [e is full.language_decl for e in full.elements]
+
+
+def assert_reparse_equals_parse(old: str, edits: list, new: str, read_lines: bool = False):
+    assert_same_parse(reparsed(old, edits, new, read_lines), parse(new, "f.rsl"), (old, new))
 
 
 def edit(start: int, end: int, text: str) -> TextEdit:
@@ -101,6 +135,66 @@ def test_a_resync_must_shift_old_offsets():
     assert_relex_equals_tokenize(old, edits, edited(old, edits))
 
 
+# Whole declarations, each ending in a newline, and the pieces that break
+# them: stray brackets, unclosed strings, a second LinguisticLanguage.
+DECL_PIECES = [
+    'Actor a_1 "A" : User [ description "d" ]\n',
+    "Actor a_2 : System [ isA a_1 ]\n",
+    "LinguisticLanguage l_1 : English\n",
+    'LinguisticLanguage l_2 : Portuguese [ description "x" ]\n',
+    'DataEntity e_1 : Master [ attribute id "Id" : Integer [ constraints (PrimaryKey) ] attribute id "X" : String ]\n',
+    "UseCase uc_1 : Create [ primaryActor a_1 dataEntity e_1 extends uc_2 onExtensionPoint p ]\n",
+    'Term t_1 "Word" : Noun [ synonyms "word", "term" ]\n',
+    'LinguisticRule r_1 : Syntax [ property UseCase.name pattern Verb + (Noun | "x") ]\n',
+    "LinguisticRule r_2 : Syntax [ severity Warning ]\n",
+    "Include Actor fromSystem S element a_1\n",
+    "IncludeAll fromSystem T\n",
+    "[",
+    "]",
+    '"open ',
+    "\n",
+    " ",
+    "// note\n",
+    "Actor",
+    "x_1",
+    ":",
+    "@",
+]
+
+
+@st.composite
+def spec_and_edits(draw):
+    text = draw(st.lists(st.sampled_from(DECL_PIECES), max_size=12).map("".join))
+    # Most edit ends fall on token boundaries: on a declaration's first
+    # token, on the token that ended it, or between two of its tokens.
+    tokens = tokenize(text)
+    boundary = st.sampled_from(sorted({*tokens.starts, *tokens.ends}))
+    points = sorted(draw(st.lists(st.one_of(boundary, st.integers(0, len(text))), max_size=6)))
+    replacement = st.lists(st.sampled_from(DECL_PIECES), max_size=2).map("".join)
+    edits = [edit(a, b, draw(replacement)) for a, b in zip(points[::2], points[1::2])]
+    return text, edits, draw(st.booleans())
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(spec_and_edits())
+@example(("Actor a\nActor b\n", [edit(8, 13, "[")], False))  # the token that ended `Actor a` now opens its body
+@example(("Actor a [ ]\nActor b\n", [edit(12, 17, "Term")], False))  # a declaration's first token replaced
+@example(("Actor a\nActor b\n", [edit(0, 0, "\n\n")], False))  # the kept `Actor b` moves down two lines
+@example(("Actor a\nActor b\n", [edit(0, 0, "\n\n")], True))  # ... with its old line and column read first
+@example(('Actor a "x\nActor b\nActor c\n', [edit(10, 10, '"')], False))  # an unclosed string closed
+@example(
+    # The second LinguisticLanguage is no longer a duplicate, so recovery no longer skips the stray bracket after it.
+    ("LinguisticLanguage l : English\nLinguisticLanguage m : English\n[ Actor x ]\nActor b\n", [edit(0, 31, "")], False)
+)
+@example(
+    # A LinguisticLanguage inserted before one that was not a duplicate.
+    ("Actor a\nLinguisticLanguage m : English\n[ Actor x ]\nActor b\n", [edit(0, 0, "LinguisticLanguage l\n")], False)
+)
+def test_reparse_equals_parse(case):
+    old, edits, read_lines = case
+    assert_reparse_equals_parse(old, edits, edited(old, edits), read_lines)
+
+
 def fix_edits(files: dict, targets: list[str]) -> dict:
     """File -> its fix edits, created elements included, in the order `fix` passes them to the re-lex."""
     ws = Workspace()
@@ -117,26 +211,38 @@ def test_fixtures_with_their_own_fix_edits():
     for file, edits in fix_edits(files, list(files)).items():
         old = FIXTURE_TEXTS[file]
         assert_relex_equals_tokenize(old, edits, apply_edits(old, edits))
+        assert_reparse_equals_parse(old, edits, apply_edits(old, edits))
         relexed_files += 1
     assert relexed_files >= 2
 
 
 @contextlib.contextmanager
 def checked_relexes():
-    """Compare every re-lex the program runs with a full lex of the same text; yields the count of them."""
+    """Compare every re-lex and re-parse the program runs with a full lex and parse of the same text.
+
+    Yields the count of re-lexes; each was part of a re-parse that was compared too.
+    """
     count = [0]
-    real = rslkit.parser.tokenize
+    real_tokenize, real_parse = rslkit.parser.tokenize, rslkit.parser.parse
 
     def tokenize(source, file="<memory>", lex=None):
         again = lex is not None and lex.tokens is not None and lex.edits is not None
-        tokens = real(source, file, lex)
+        tokens = real_tokenize(source, file, lex)
         if again:
-            assert lists(tokens) == lists(real(source, file)), file
+            assert lists(tokens) == lists(real_tokenize(source, file)), file
             count[0] += 1
         return tokens
 
+    def parse(source, file="<memory>", lex=None):
+        again = lex is not None and lex.tokens is not None and lex.edits is not None
+        result = real_parse(source, file, lex)
+        if again:
+            assert_same_parse(result, real_parse(source, file), file)
+        return result
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rslkit.parser, "tokenize", tokenize)
+        mp.setattr(rslkit.parser, "parse", parse)
         yield count
 
 

@@ -200,6 +200,15 @@ def test_gen_template_output_is_unchanged(tmp_path, capsys):
     )
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="from 3.13 `jsonwriter` writes with `json.dumps`")
+def test_gen_template_loads_no_json_package(tmp_path):
+    argv = ["gen", "template", "billing_clean.rsl", "--template", "usecases.tpl", "-o", str(tmp_path / "out.txt")]
+    code = f"import sys; from rslkit.cli import main; code = main({argv!r}); print(code, 'json' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], cwd=FIXTURES, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_checking_an_empty_spec_loads_no_lexicon(tmp_path):
     empty = tmp_path / "empty.rsl"
     empty.write_text("", encoding="utf-8")
