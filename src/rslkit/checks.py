@@ -351,11 +351,17 @@ def run_all_checks(
 
 
 def finalize(diags: list[Diagnostic]) -> list[Diagnostic]:
-    """Deterministic order by (file, offset, code); exact duplicates collapsed."""
+    """Deterministic order by (file, offset, code); exact duplicates collapsed.
+
+    The key holds the span's file, offset and length, not the span: hashing
+    a span reads its line and column, which a run that prints none, such
+    as `fix --apply`, need never look up.
+    """
     seen = set()
     out = []
     for d in sorted(diags, key=Diagnostic.sort_key):
-        key = (d.code, d.span, d.message)
+        span = d.span
+        key = (d.code, span.file, span.offset, span.length, d.message)
         if key in seen:
             continue
         seen.add(key)

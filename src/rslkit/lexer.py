@@ -1,37 +1,36 @@
 """Tokenizer for the requirements language.
 
-One compiled regular expression scans the source: each match skips the
-whitespace and `//` comments before a token, then matches an identifier,
-a digit run, a string, a punctuation mark or a single other character.
-`tokenize` returns one `Tokens` value: four parallel lists (`kinds`,
+`tokenize` returns one `Tokens` value: four parallel sequences (`kinds`,
 `texts`, `starts`, `ends`) plus the source's `LineTable`. A punctuation
 mark's kind is the mark itself (`":"`, `"["`, ...), so a parser tests it
-with one comparison. There are no token objects: the parser reads these
-lists by index, and `len(tokens)` is kept only so that the benchmark's
-trace of `tokenize` can count tokens.
+with one comparison. There are no token objects: the parser reads the
+sequences by index.
 
-A span from `LineTable.span` holds the file, offset and length and the
-table. Its line and column are looked up with `bisect` the first time
-one of them is read, and the table finds the source's line starts on its
-first lookup. A run that reads no line, such as a clean `gen`, never
-scans for them.
+No token holds a "\\r" or a "\\n", as a string or a `//` comment stops at
+either; so lexing is line-local. `_lex` cuts a text into blocks of about
+64 K characters, each ending just after a "\\n" (U+2028 and the other
+`str.splitlines` breaks end no line here), and splits each block with one
+compiled pattern whose one group captures a token or a comment: the
+pieces between are whitespace. C-level calls build the rest: the offsets
+are the running sums of the pieces' lengths, packed into `array("q")`s
+(an int object per offset would take about four times the memory), and a
+token's kind is one dict lookup on its first character. Python code
+visits only the strings (quotes stripped, escapes decoded, an unclosed
+one made an error token), the comments, which are dropped, and in a
+block that is not ASCII, the words that `_exact` cuts again.
 
 Identifiers start with a character for which `str.isalpha()` holds (or
 `_`) and go on over `str.isalnum()` characters (or `_`); digit runs are
-`str.isdigit()` characters. Python's `\\d` (decimal digits only) and a
-`\\w` start (which admits `½` and `²`) differ from these predicates
-outside ASCII, so the pattern matches ASCII-started words and digit runs
-directly and any other character takes a per-character path that applies
-the exact predicates.
+`str.isdigit()` characters.
 
-Text is lexed as read, with its line endings: "\\r\\n", a lone "\\r" and
-"\\n" each end a line, as universal newlines would read them. A string or
-a `//` comment stops at any of them, and `LineTable` counts each as one
-line break, so a spec with CRLF or CR line endings reads as its LF twin.
+A span from `LineTable.span` looks its line and column up when one of
+them is first read, and the table finds the line starts on its first
+lookup. "\\r\\n", a lone "\\r" and "\\n" each end a line, so a spec with
+CRLF or CR line endings reads as its LF twin.
 
-`fix` lexes a text again after editing it. Given the first lex, kept in a
-`relex.Lex`, and the edits, `tokenize` scans only around each edit and
-copies the other tokens (see `relex`).
+`fix` lexes a text again after editing it: given the first lex, kept in
+a `relex.Lex`, and the edits, `tokenize` lexes only the lines around each
+edit and copies the other tokens (see `relex`).
 
 A UTF-8 byte-order mark (U+FEFF) at offset 0 is skipped, not tokenized.
 Offsets still index the text as read, so the mark keeps offset 0 and a
@@ -44,24 +43,31 @@ that the parser turns into diagnostics.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, not_
 
 from .model import SourceSpan
 
-_TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?://[^\r\n]*[ \t\r\n]*)*
-    (?:
-        (?P<identifier>[A-Za-z_]\w*)
-      | (?P<punct>[:\[\](),+|.])
-      | (?P<string>"(?P<body>(?:[^"\\\r\n]+|\\["\\]?)*)(?P<close>"?))
-      | (?P<digits>[0-9]+)(?![0-9]|[^\x00-\x7f])
-      | (?P<other>.)
-    )?""",
-    re.VERBOSE | re.DOTALL,
-)
-_WORD_TAIL_RE = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
-_ESCAPE_RE = re.compile(r'\\(["\\])')
+# A `//` comment, a string (closed or not), an ASCII digit run, a run of
+# word characters, or any other character but whitespace.
+_SPLIT = re.compile(r'(//[^\r\n]*|"(?:[^"\\\r\n]+|\\["\\]?)*"?|[0-9]+|\w+|[^ \t\r\n])').split
+_BLOCK = 1 << 16  # characters in a block, up to the "\n" that ends it
 
+
+class _Kinds(dict):
+    """A token's kind by its first character; a string's is settled when its end is read."""
+
+    def __missing__(self, first: str) -> str:  # a non-ASCII character
+        return "identifier" if first.isalpha() or first.isdigit() else "error"
+
+
+_KINDS = _Kinds.fromkeys(map(chr, range(128)), "error")
+_KINDS.update(dict.fromkeys("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "identifier"))
+_KINDS.update(zip(":[](),+|.", ":[](),+|."))
+_KINDS['"'] = "string"
+_FIRST = itemgetter(0)
 
 _new_span = object.__new__  # a span with its line and column slots unset
 
@@ -112,15 +118,13 @@ def line_starts(source: str) -> list[int]:
 
 
 class Tokens:
-    """The tokens of one source as parallel lists; the last token has kind "end".
+    """The tokens of one source as parallel sequences; the last token has kind "end".
 
     `kinds[i]` is "identifier", "string", "error", "end" or, for a
     punctuation mark, the mark itself; `texts[i]` is the surface text (for
     a string, its decoded value); `starts[i]`/`ends[i]` are offsets into
-    the source (`array("q")`s for a re-lexed text, see `relex`). There is
-    no per-token object to index or iterate over;
-    `len()` stays because the benchmark's trace of `tokenize` counts
-    tokens with it.
+    the source, in `array("q")`s. `len()` stays because the benchmark's
+    trace of `tokenize` counts tokens with it.
     """
 
     __slots__ = ("kinds", "texts", "starts", "ends", "lines")
@@ -142,87 +146,98 @@ def tokenize(source: str, file: str = "<memory>", lex=None) -> Tokens:
     if lex is not None:
         previous, edits = lex.tokens, lex.edits
         lex.tokens = lex.edits = lex.runs = None
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    kinds, texts, starts, ends = [], [], array("q"), array("q")
     n = len(source)
     pos = 1 if source.startswith("\ufeff") else 0  # a byte-order mark is skipped; offsets still count it
     if previous is None or edits is None:
-        _scan(source, pos, n + 1, kinds, texts, starts, ends)
+        _lex(source, pos, n, kinds, texts, starts, ends)
     else:
-        from array import array
-
         from .relex import relex
 
-        # Packed, as `relex.Lex` keeps the old ones: the re-lex runs while the
-        # old tokens and the declarations the re-parse keeps are alive too.
-        starts, ends = array("q"), array("q")
         lex.runs = relex(source, pos, previous, edits, kinds, texts, starts, ends)
     kinds.append("end")
     texts.append("")
     starts.append(n)
     ends.append(n)
-    lines = LineTable(source, file)
+    tokens = Tokens(kinds, texts, starts, ends, LineTable(source, file))
     if lex is not None and edits is None:
-        from array import array
-
-        lex.tokens = Tokens(kinds, texts, array("q", starts), array("q", ends), lines)
-    return Tokens(kinds, texts, starts, ends, lines)
+        lex.tokens = tokens
+    return tokens
 
 
-def _scan(source: str, pos: int, stop: int, kinds: list, texts: list, starts: list, ends: list) -> int | None:
-    """Append the tokens from `pos` on, up to the first that ends at or past `stop`.
+def _lex(source: str, pos: int, stop: int, kinds: list, texts: list, starts: array, ends: array) -> None:
+    """Append the tokens of source[pos:stop], where `stop` is a "\\n" or the end; a byte-order mark is the caller's."""
+    while pos < stop:
+        end = source.find("\n", pos + _BLOCK, stop) + 1 or stop
+        block = source[pos:end]
+        pieces = _SPLIT(block)  # whitespace, token, whitespace, ..., token, whitespace
+        if not block.isascii():
+            pieces = _exact(pieces)
+        words = pieces[1::2]
+        offsets = list(accumulate(map(len, pieces), initial=pos))
+        block_starts, block_ends = offsets[1:-1:2], offsets[2::2]
+        block_kinds = list(map(_KINDS.__getitem__, map(_FIRST, words)))
+        if "//" in block:
+            keep = list(map(not_, map(str.startswith, words, repeat("//"))))
+            columns = map(compress, (words, block_kinds, block_starts, block_ends), repeat(keep))
+            words, block_kinds, block_starts, block_ends = map(list, columns)
+        if '"' in block:
+            _strings(words, block_kinds)
+        kinds += block_kinds
+        texts += words
+        starts.fromlist(block_starts)
+        ends.fromlist(block_ends)
+        pos = end
 
-    Returns that token's end, or None when the text ran out first. Skipping
-    a byte-order mark at offset 0 is the caller's job.
+
+def _strings(words: list, kinds: list) -> None:
+    """Turn each string token among `words` into its value; an unclosed one becomes an error token."""
+    i = -1
+    for _ in range(kinds.count("string")):
+        i = kinds.index("string", i + 1)
+        word = words[i]
+        if "\\" not in word and word[-1] == '"' != word:
+            words[i] = word[1:-1]
+            continue
+        value = word[1:-1]
+        if word[-1] != '"' or word == '"' or (len(value) - len(value.rstrip("\\"))) % 2:
+            kinds[i] = "error"  # no closing quote: the line ended, or the last one is escaped
+            value = word[1:]
+        words[i] = re.sub(r'\\(["\\])', r"\1", value)
+
+
+def _exact(pieces: list) -> list:
+    """The `pieces` of a block that is not ASCII, each word cut as `str.isalpha` and `str.isdigit` cut it.
+
+    A word that starts with a letter or `_` is whole, and a character that
+    is not a word character is an error token whoever cuts it. A word that
+    starts with another non-ASCII word character (`²`, `٣`, `½`) is cut
+    again, with the ASCII digit run just before it, if any: `12²` is one
+    digit run.
     """
-    kind_append, text_append, start_append, end_append = kinds.append, texts.append, starts.append, ends.append
-    scan = _TOKEN_RE.finditer
-    n = len(source)
-    while True:
-        for m in scan(source, pos):
-            group = m.lastgroup
-            if group == "identifier":
-                kind_append("identifier")
-                text_append(m.group(group))
-            elif group == "punct":
-                text = m.group(group)
-                kind_append(text)
-                text_append(text)
-            elif group == "string":
-                body = m.group("body")
-                if "\\" in body:
-                    body = _ESCAPE_RE.sub(r"\1", body)
-                kind_append("string" if m.group("close") else "error")
-                text_append(body)
-            elif group is None:  # only whitespace and comments were left
-                continue
-            else:
-                start, pos = m.span(group)
-                kind = "identifier"
-                if group == "other":
-                    ch = source[start]
-                    if ch.isalpha():
-                        pos = _WORD_TAIL_RE.match(source, pos).end()
-                    elif ch.isdigit():
-                        while pos < n and source[pos].isdigit():
-                            pos += 1
-                    else:
-                        kind = "error"
-                kind_append(kind)
-                text_append(source[start:pos])
-                start_append(start)
-                end_append(pos)
-                if pos >= stop:
-                    return pos
-                if pos != m.end():
-                    break  # a non-ASCII word or digit run: scan again after it
-                continue
-            start, end = m.span(group)
-            start_append(start)
-            end_append(end)
-            if end >= stop:
-                return end
-        else:
-            return None
+    words = pieces[1::2]
+    ascii_firsts = list(map(str.isascii, map(_FIRST, words)))
+    out, done, i = [], 0, -1
+    for _ in range(ascii_firsts.count(False)):
+        i = ascii_firsts.index(False, i + 1)
+        word = words[i]
+        if word[0].isalpha() or not word[0].isalnum():
+            continue
+        at = 2 * i + 1
+        if i and not pieces[at - 1] and words[i - 1][0] in "0123456789":
+            at -= 2
+            word = words[i - 1] + word
+        out += pieces[done:at]
+        k, n = 0, len(word)
+        while k < n:
+            j = k + 1
+            if word[k].isalpha() or word[k] == "_":
+                j = n
+            elif word[k].isdigit():
+                while j < n and word[j].isdigit():
+                    j += 1
+            out += (word[k:j], "")
+            k = j
+        out.pop()
+        done = 2 * i + 2
+    return out + pieces[done:] if done else pieces

@@ -1,12 +1,10 @@
 """The re-lex and re-parse of an edited text: `fix` reads again only what its edits touched.
 
 `fix` checks, applies its fixes, and checks the fixed text again. The
-second lex need not scan all of a file whose edits change a few bytes:
-the first lex is kept in a `Lex`, and `relex` scans a window around each
-edit and copies every other token from it. `lexer.tokenize` calls it, so
-the scan loop is the lexer's own. Nor need the second parse read every
-declaration again: the first parse's declarations are kept with the lex,
-and `Kept` hands the parser each one whose tokens were all copied.
+first lex is kept in a `Lex`. No token crosses a line, so `relex` lexes
+only the lines around each edit, with the lexer's own `_lex`, and copies
+every other token. The first parse's declarations are kept with the lex,
+and `Kept` hands the second parse each one whose tokens were all copied.
 Only `fix` loads this module.
 """
 
@@ -16,22 +14,19 @@ from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
 from operator import add, attrgetter, itemgetter
 
-from .lexer import Tokens, _scan
+from .lexer import Tokens, _lex
 from .model import KIND_TABLE, DataEntity, Diagnostic, IncludeDecl, LinguisticLanguageDecl
 
 
 class Lex:
-    """A file's lex kept from one parse to the next, so that lexing its edited text scans only around the edits.
+    """A file's lex kept from one parse to the next, so that lexing its edited text reads only the lines it changed.
 
     `tokenize(source, file, lex)` with no `lex.edits` lexes all of `source`
-    and keeps the result in `lex.tokens`, its offsets packed in
-    `array("q")`s: an int object per offset would take about four times
-    the memory, and the kept lex lives through a whole check. The owner
-    then sets `lex.edits` to the non-overlapping `TextEdit`s, in
-    `model.edit_order`, that turn that text into a new one.
-    `tokenize(new, file, lex)` re-lexes only around them (see `relex`)
-    and takes the kept tokens out of `lex`, so they are freed before the
-    new ones are parsed; it keeps nothing of its own.
+    and keeps the result in `lex.tokens`. The owner then sets `lex.edits`
+    to the non-overlapping `TextEdit`s, in `model.edit_order`, that turn
+    that text into a new one. `tokenize(new, file, lex)` re-lexes only
+    around them (see `relex`) and takes the kept tokens out of `lex`, so
+    they are freed before the new ones are parsed.
 
     A parse whose lex is kept keeps its declarations too, in `decls`: one
     (first token, next token, result, diagnostics) per pass of
@@ -53,53 +48,40 @@ class Lex:
 
 
 def relex(source: str, pos: int, previous: Tokens, edits, kinds: list, texts: list, starts, ends) -> list:
-    """Append the tokens of `source` from `pos`, scanning only around the `edits` that made it from `previous`'s text.
+    """Append the tokens of `source` from `pos`, lexing only the lines that the `edits` made from `previous`'s text.
 
-    A match of `lexer._TOKEN_RE` starts where the last token ended and
-    reads at most one character past its own end. So an old token that
-    ends before the next edit read nothing that changed: it is copied, its
-    offsets shifted by `delta`, the length the edits before it added. A
-    window starts at the end of the last token copied and is scanned until
-    a token ends, past every edit the window reached, at the shifted end of
-    an old token. From there the new text reads as the old one did, up to
-    the next edit. This is the resynchronising lexer of Wagner and Graham,
-    "Efficient and Flexible Incremental Parsing" (TOPLAS 1998).
+    No token crosses a "\\n". So a window runs from the start of the line
+    an edit starts on to the end of the line its new text ends on, taking
+    in each later edit that starts before that end, and `lexer._lex` lexes
+    it. The old tokens outside the windows lie on lines no edit touched:
+    they are copied, their offsets shifted by `delta`, the length the
+    edits before them added. This is the incremental lexing of Wagner and
+    Graham, "Efficient and Flexible Incremental Parsing" (TOPLAS 1998),
+    with the line as its unit, so no resynchronising scan is needed.
 
     Returns the runs of copied tokens, as `Lex.runs` keeps them.
     """
     runs = []
-    old_ends = previous.ends
-    last = len(old_ends) - 1  # the old "end" token, which is never copied
+    old_starts = previous.starts
+    last = len(old_starts) - 1  # the old "end" token, which is never copied
     n, count = len(source), len(edits)
-    done = delta = edge = i = 0  # the old tokens before `done` are copied or skipped, the edits before `i` taken in
+    done = delta = i = 0  # the old tokens before `done` are copied or dropped, the edits before `i` taken in
     while i < count:
-        k = bisect_left(old_ends, edits[i].span.offset, done, last)
+        lo = source.rfind("\n", 0, edits[i].span.offset + delta) + 1
+        k = bisect_left(old_starts, lo - delta, done, last)
         if k > done:
             runs.append((len(kinds), done, k, delta))
             _copy(previous, done, k, delta, kinds, texts, starts, ends)
-            pos = old_ends[k - 1] + delta
-            done = k
-        stop = edits[i].span.offset + delta
-        while True:
-            pos = _scan(source, pos, stop, kinds, texts, starts, ends)
-            if pos is None:
-                return runs  # the window ran to the end of the text
-            while i < count and edits[i].span.offset + delta <= pos:  # every edit the window reached
-                span = edits[i].span
-                delta += len(edits[i].new_text) - span.length
-                edge = span.end_offset + delta
-                i += 1
-            if pos < edge:
-                stop = edge
-            else:
-                done = bisect_left(old_ends, pos - delta, done, last)
-                if done < last and old_ends[done] + delta == pos:
-                    done += 1
-                    break  # resynchronised
-                stop = old_ends[done] + delta if done < last else n + 1
-            if i < count:
-                stop = min(stop, edits[i].span.offset + delta)
-    # Every edit is taken in, so the new "end" token, which `tokenize` appends, is the old one shifted by `delta`.
+        while True:  # take in each edit that starts before the window's end
+            span = edits[i].span
+            delta += len(edits[i].new_text) - span.length
+            hi = source.find("\n", span.end_offset + delta) % (n + 1)  # -1, none found, is the end
+            i += 1
+            if i == count or edits[i].span.offset + delta > hi:
+                break
+        _lex(source, max(lo, pos), hi, kinds, texts, starts, ends)
+        done = bisect_left(old_starts, hi - delta, k, last)
+    # The new "end" token, which `tokenize` appends, is the old one shifted by `delta`.
     runs.append((len(kinds), done, last + 1, delta))
     _copy(previous, done, last, delta, kinds, texts, starts, ends)
     return runs

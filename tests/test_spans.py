@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rslkit.lexer
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from rslkit.cli import main
 from rslkit.lexer import LineTable
 from rslkit.model import SourceSpan
@@ -84,3 +84,16 @@ def test_line_starts_are_found_only_when_a_line_is_read(tmp_path, monkeypatch, c
     # The spy sees a diagnostic's span being read.
     assert main(["check", fixture_path("billing_defects.rsl")]) == 1
     assert calls == [1]
+
+
+def test_fix_apply_reads_no_line(tmp_path, monkeypatch, capsys):
+    """`fix --apply` prints no line, so it never scans a text for its line starts: not even to dedup diagnostics."""
+    calls = []
+    line_starts = rslkit.lexer.line_starts
+    monkeypatch.setattr(rslkit.lexer, "line_starts", lambda source: calls.append(1) or line_starts(source))
+    original = (FIXTURES / "billing_defects.rsl").read_bytes()
+    copy = tmp_path / "billing_defects.rsl"
+    copy.write_bytes(original)
+    assert main(["fix", "--apply", str(copy)]) == 1  # the L001 on a_Approve has no fix
+    assert copy.read_bytes() != original
+    assert calls == []
