@@ -16,7 +16,6 @@ from .model import (
     Diagnostic,
     LinguisticRuleDecl,
     QuickFix,
-    Record,
     Term,
     TextEdit,
 )
@@ -99,13 +98,10 @@ def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
 
 # --- glossary ----------------------------------------------------------------
 
-class GlossaryIndex(Record):
-    entries: dict = {}  # lower synonym -> (main word, Term)
-    diagnostics: list = []
-
-
-def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
-    idx = GlossaryIndex()
+def build_glossary(rm: ResolvedModel) -> tuple[dict, list[Diagnostic]]:
+    """(entries, diagnostics): each lowercased synonym maps to (main word, Term); clashes are diagnostics."""
+    entries: dict = {}
+    diags: list[Diagnostic] = []
     terms = [e for e in rm.effective_elements if isinstance(e, Term)]
     mains = {t.name.lower(): t for t in terms if t.name}
     for term in terms:
@@ -114,7 +110,7 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
         for syn in term.synonyms:
             key = syn.lower()
             if key in mains and mains[key] is not term:
-                idx.diagnostics.append(
+                diags.append(
                     Diagnostic(
                         "Error",
                         "RSL-C002",
@@ -123,9 +119,9 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
                     )
                 )
                 continue
-            existing = idx.entries.get(key)
+            existing = entries.get(key)
             if existing is not None and existing[0].lower() != term.name.lower():
-                idx.diagnostics.append(
+                diags.append(
                     Diagnostic(
                         "Error",
                         "RSL-C001",
@@ -134,14 +130,14 @@ def build_glossary(rm: ResolvedModel) -> GlossaryIndex:
                     )
                 )
                 continue
-            idx.entries.setdefault(key, (term.name, term))
-    return idx
+            entries.setdefault(key, (term.name, term))
+    return entries, diags
 
 
-def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], glossary: GlossaryIndex) -> list[Diagnostic]:
+def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], entries: dict) -> list[Diagnostic]:
     """RSL-V002 for each word of a name or description that is a synonym, by surface or lemma.
 
-    `lex` may be None only when the glossary has no entries.
+    `entries` is what `build_glossary` returns; `lex` may be None only when it is empty.
 
     A screen runs first: a fragment is analyzed only when one of its
     words, lowercased or as the lemma `lex.tag` gives it, is a glossary
@@ -149,7 +145,6 @@ def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], glossary: Glossary
     without a hit. Each distinct word is screened once per call, and a
     model without synonyms is not scanned at all.
     """
-    entries = glossary.entries
     if not entries:
         return []
     from .lexicon import WORD_RE
@@ -313,8 +308,8 @@ def run_all_checks(
 
     language = rm.model.language
     has_lexicon = language in (lexicons or ()) or language in BUILTIN_LEXICONS
-    glossary = build_glossary(rm)
-    diags.extend(glossary.diagnostics)
+    glossary, glossary_diags = build_glossary(rm)
+    diags.extend(glossary_diags)
     if not has_lexicon:
         diags.append(
             Diagnostic(
@@ -327,7 +322,7 @@ def run_all_checks(
     rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
     # A shipped lexicon loads only for a check that reads it: a rule, or a synonym to look up.
     lex = None
-    if rules or glossary.entries:
+    if rules or glossary:
         if has_lexicon:
             lex = pick_lexicon(language, lexicons)
         else:

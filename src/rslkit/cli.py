@@ -47,7 +47,7 @@ def read_source(path: str, what: str = "") -> str:
 def read_manifest(path: str) -> dict:
     mapping = {}
     base = Path(path).parent
-    for line in read_source(path, "manifest").splitlines():
+    for line in read_source(path, "manifest").removeprefix("\ufeff").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -263,11 +263,14 @@ def collect_fix_edits(diags: list[Diagnostic], create_missing: bool):
 
 
 def write_atomically(path: str, text: str) -> None:
-    """Write through a temporary file in the same directory, then rename it over `path`."""
+    """Write through a temporary file in the same directory, then rename it over `path`.
+
+    A symlink is followed, so the file it points to is written and the link stays a link.
+    """
     import shutil
     import tempfile
 
-    target = Path(path)
+    target = Path(os.path.realpath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     except OSError as exc:
@@ -357,7 +360,7 @@ def cmd_gen(args) -> int:
     refusal = ensure_valid(rm, diags)
     if refusal is not None:
         sys.stdout.write(report_human([d for d in diags if d.severity == "Error"]))
-        print(str(refusal))
+        print(refusal)
         return 1
     del ws, diags  # generation reads only `rm`; free the other systems' texts and models first
 

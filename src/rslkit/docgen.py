@@ -6,33 +6,21 @@ diagnostic refuses generation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .jsonwriter import dump_json
-from .model import KIND_TABLE, Diagnostic, Record, element_type
+from .model import KIND_TABLE, Diagnostic, element_type
 from .printer import print_pattern
 from .workspace import ResolvedModel
 
-if TYPE_CHECKING:
-    from .template import TemplateDocument
-
-
-class Refusal(Record):
-    error_count: int
-    first_messages: list[str]
-
-    def __str__(self):
-        lines = [f"specification has {self.error_count} error(s); generation refused"]
-        lines += ["  - " + m.splitlines()[0] for m in self.first_messages]
-        return "\n".join(lines)
-
-
-def ensure_valid(rm: ResolvedModel, diags: list[Diagnostic]) -> Optional[Refusal]:
-    """None when generation may proceed; a Refusal when errors exist."""
+def ensure_valid(rm: ResolvedModel, diags: list[Diagnostic]) -> Optional[str]:
+    """None when generation may proceed; the refusal text, with the first three errors, when errors exist."""
     errors = [d for d in diags if d.severity == "Error"]
     if not errors:
         return None
-    return Refusal(len(errors), [d.message for d in errors[:3]])
+    lines = [f"specification has {len(errors)} error(s); generation refused"]
+    lines += ["  - " + d.message.splitlines()[0] for d in errors[:3]]
+    return "\n".join(lines)
 
 
 # --- JSON -------------------------------------------------------------------
@@ -148,14 +136,14 @@ def template_context(rm: ResolvedModel) -> dict:
     return root
 
 
-def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
+def render(tpl: list, root: dict, strict: bool = True) -> str:
     # The template engine loads with the first template: only `gen template` uses it.
     from .template import render
 
     return render(tpl, root, strict=strict)
 
 
-def render_template(tpl: TemplateDocument | str, rm: ResolvedModel, strict: bool = True) -> str:
+def render_template(tpl: list | str, rm: ResolvedModel, strict: bool = True) -> str:
     if isinstance(tpl, str):
         from .template import parse_template
 

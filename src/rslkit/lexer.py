@@ -91,10 +91,6 @@ class LineTable:
         span._lines = self
         return span
 
-    def content_span(self, start: int, end: int) -> SourceSpan:
-        """Span inside the quotes of the string literal at source[start:end]."""
-        return self.span(start + 1, max(end - 1, start + 1))
-
     def line_cols(self, start: int, end: int) -> tuple[int, int, int, int]:
         """(start line, start column, end line, end column) of source[start:end], 1-based."""
         starts = self.starts

@@ -103,8 +103,11 @@ class Lexicon(Record):
 
 
 def _tab_lines(text: str):
-    """(line number, tab-separated fields) of each line that is neither blank nor a `#` comment."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    """(line number, tab-separated fields) of each line that is neither blank nor a `#` comment.
+
+    A byte-order mark at the start of the text is not data.
+    """
+    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield line_no, line.split("\t")

@@ -119,8 +119,9 @@ class _Parser:
         return self.lines.span(self.starts[i], self.ends[max(self.pos - 1, i)])
 
     def content_span(self, i: int) -> SourceSpan:
-        """Span of string token i's contents, inside the quotes; see `LineTable.content_span`."""
-        return self.lines.content_span(self.starts[i], self.ends[i])
+        """Span of string token i's contents, inside the quotes."""
+        start = self.starts[i] + 1
+        return self.lines.span(start, max(self.ends[i] - 1, start))
 
     def skip_to_top(self):
         """Recover: skip until the next top-level keyword at bracket depth 0."""

@@ -43,10 +43,6 @@ NULL = None
 
 # --- template structure -------------------------------------------------------
 
-class Static(Record):
-    text: str
-
-
 class Tag(Record):
     raw: str
     expr: "Expr"
@@ -61,11 +57,8 @@ class Section(Record):
     position: int
 
 
-class TemplateDocument(Record):
-    nodes: list
-
-
-def parse_template(text: str) -> TemplateDocument:
+def parse_template(text: str) -> list:
+    """The template's nodes: static text as a `str`, a Tag, or a Section whose body is a node list too."""
     root: list = []
     stack: list[tuple[str, Section]] = []
     current = root
@@ -74,12 +67,12 @@ def parse_template(text: str) -> TemplateDocument:
     while i < n:
         brace = text.find("{", i)
         if brace == -1:
-            current.append(Static(text[i:]))
+            current.append(text[i:])
             break
         if brace > i:
-            current.append(Static(text[i:brace]))
+            current.append(text[i:brace])
         if text.startswith("{{", brace):
-            current.append(Static("{"))
+            current.append("{")
             i = brace + 2
             continue
         close = text.find("}", brace)
@@ -109,7 +102,7 @@ def parse_template(text: str) -> TemplateDocument:
         i = close + 1
     if stack:
         raise TemplateSyntaxError(stack[-1][1].position, f"section '{stack[-1][0]}' never closed")
-    return TemplateDocument(root)
+    return root
 
 
 # --- expressions ---------------------------------------------------------------
@@ -447,10 +440,10 @@ def evaluate(expr: Expr, scopes: list[dict]):
 
 # --- rendering -------------------------------------------------------------------
 
-def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
+def render(tpl: list, root: dict, strict: bool = True) -> str:
     out: list[str] = []
     unresolved: list[str] = []
-    _walk(tpl.nodes, [root], out, unresolved if strict else None)
+    _walk(tpl, [root], out, unresolved if strict else None)
     if unresolved:
         raise UnresolvedTags(unresolved)
     return "".join(out)
@@ -459,8 +452,8 @@ def render(tpl: TemplateDocument, root: dict, strict: bool = True) -> str:
 def _walk(nodes: list, scopes: list[dict], out: list[str], unresolved: Optional[list[str]]):
     """Render nodes into out; a tag whose value is NULL goes to unresolved, or renders empty without it."""
     for node in nodes:
-        if isinstance(node, Static):
-            out.append(node.text)
+        if isinstance(node, str):
+            out.append(node)
             continue
         try:
             value = evaluate(node.expr, scopes)

@@ -63,7 +63,7 @@ from typing import Optional
 
 from rslkit import cli
 from rslkit.lexicon import WORD_RE, Lexicon, Token
-from rslkit.matching import MatchResult, normalize
+from rslkit.rules import MatchResult, normalize
 from rslkit.model import (
     CONSTRAINTS,
     DATA_TYPES,
@@ -1638,7 +1638,7 @@ def _oracle_oov(surface: str, index: int, lex: Lexicon) -> tuple[frozenset, str]
     return frozenset({"NOUN"}), lower
 
 
-def oracle_check_glossary(rm: ResolvedModel, lex: Lexicon, glossary) -> list[Diagnostic]:
+def oracle_check_glossary(rm: ResolvedModel, lex: Lexicon, entries: dict) -> list[Diagnostic]:
     diags = []
     for elem in rm.effective_elements:
         for fragment in ("name", "description"):
@@ -1647,7 +1647,7 @@ def oracle_check_glossary(rm: ResolvedModel, lex: Lexicon, glossary) -> list[Dia
                 continue
             base = elem.exact_fragment_span(fragment)
             for token in oracle_analyze(value, lex):
-                hit = glossary.entries.get(token.surface.lower()) or glossary.entries.get(token.lemma)
+                hit = entries.get(token.surface.lower()) or entries.get(token.lemma)
                 if hit is None:
                     continue
                 main, _term = hit

@@ -125,20 +125,20 @@ class TestGlossary:
 
 
 def glossary_inputs(source: str, extra: dict | None = None):
-    """(resolved model, glossary lexicon, glossary) as `run_all_checks` builds them."""
+    """(resolved model, glossary lexicon, glossary entries) as `run_all_checks` builds them."""
     ws = Workspace()
     model = add_system(ws, "Main", source, "main.rsl")
     for name, text in (extra or {}).items():
         add_system(ws, name, text, f"{name}.rsl")
     rm = resolve(model, ws)
     language = rm.model.language
-    return rm, pick_lexicon(language) or Lexicon(language=language), build_glossary(rm)
+    return rm, pick_lexicon(language) or Lexicon(language=language), build_glossary(rm)[0]
 
 
 def assert_glossary_matches_oracle(source: str, extra: dict | None = None) -> int:
-    rm, lex, glossary = glossary_inputs(source, extra)
-    got = check_glossary(rm, lex, glossary)
-    assert got == oracle_check_glossary(rm, lex, glossary)
+    rm, lex, entries = glossary_inputs(source, extra)
+    got = check_glossary(rm, lex, entries)
+    assert got == oracle_check_glossary(rm, lex, entries)
     return len(got)
 
 
@@ -158,19 +158,19 @@ class TestGlossaryScreen:
         assert diags == [] and analyzed == []
 
     def test_only_fragments_with_a_hit_are_analyzed(self, monkeypatch):
-        rm, lex, glossary = glossary_inputs(fixture_text("billing_defects.rsl"))
+        rm, lex, entries = glossary_inputs(fixture_text("billing_defects.rsl"))
         with_hit = [
             value
             for elem in rm.effective_elements
             for value in map(elem.fragment_value, ("name", "description"))
             if value
             and any(
-                t.surface.lower() in glossary.entries or t.lemma in glossary.entries
+                t.surface.lower() in entries or t.lemma in entries
                 for t in oracle_analyze(value, lex)
             )
         ]
         analyzed = count_analyze(monkeypatch)
-        assert by_code(check_glossary(rm, lex, glossary), "RSL-V002")
+        assert by_code(check_glossary(rm, lex, entries), "RSL-V002")
         assert analyzed == with_hit
 
 

@@ -15,6 +15,7 @@ from conftest import FIXTURES, check_source
 from oracles import oracle_collect_fix_edits
 from rslkit import cli
 from rslkit.cli import collect_fix_edits, main
+from rslkit.lexicon import load_lexicon
 from rslkit.model import Diagnostic, QuickFix, SourceSpan, TextEdit
 from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS
 from test_lexer import PIECES
@@ -108,6 +109,16 @@ class TestCheck:
         manifest.write_text("# shared rules\n\n   \nSystemRules=system_rules.rsl\n")
         code, out, _ = run(["check", str(doc), "--manifest", str(manifest)], capsys)
         assert code == 0 and "RSL-I001" in out
+
+    def test_manifest_byte_order_mark_is_not_data(self, tmp_path, capsys):
+        doc = copy_fixture(tmp_path, "billing_include.rsl")
+        copy_fixture(tmp_path, "system_rules.rsl")
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("SystemRules=system_rules.rsl\n", encoding="utf-8")
+        marked.write_bytes(BOM_UTF8 + plain.read_bytes())
+        expected = run(["check", str(doc), "--manifest", str(plain)], capsys)
+        assert "RSL-I001" in expected[1] and "RSL-R002" not in expected[1]
+        assert run(["check", str(doc), "--manifest", str(marked)], capsys) == expected
 
     def test_system_mapping_without_a_value_is_a_usage_error(self, capsys):
         code, out, err = run(["check", str(FIXTURES / "billing_clean.rsl"), "--system", "SystemRules"], capsys)
@@ -274,6 +285,21 @@ class TestFix:
         _, out, _ = run(["fix", "--apply", str(marked)], capsys)
         assert "applied fixes to 1 file(s)" in out
         assert marked.read_bytes() == BOM_UTF8 + plain.read_bytes()  # the same fixes, one character later
+
+    def test_apply_through_a_symlink_fixes_its_target_and_keeps_the_link(self, tmp_path, capsys):
+        plain = copy_fixture(tmp_path, "billing_defects.rsl")
+        target = tmp_path / "specs" / "target.rsl"
+        target.parent.mkdir()
+        shutil.copy(plain, target)
+        link = tmp_path / "link.rsl"
+        link.symlink_to(Path("specs") / "target.rsl")
+        run(["fix", "--apply", str(plain)], capsys)
+        code, out, _ = run(["fix", "--apply", str(link)], capsys)
+        assert "applied fixes to 1 file(s)" in out
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == plain.read_bytes()
+        assert code == run(["check", str(link)], capsys)[0]
+        assert sorted(p.name for p in target.parent.iterdir()) == [target.name]
 
     def test_file_changed_since_check_is_not_overwritten(self, tmp_path, capsys, monkeypatch):
         doc = copy_fixture(tmp_path, "billing_defects.rsl")
@@ -683,6 +709,21 @@ def test_lexicon_override_decides_l001(tmp_path, capsys):
         f"{spec}:73:28",
         f"{spec}:101:16",
     ]
+
+
+def test_lexicon_and_suffix_rules_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    data = Path(cli.__file__).parent / "data"
+    spec = str(FIXTURES / "billing_defects.rsl")
+    lexicons, results = [], []
+    for name, mark in (("plain", b""), ("marked", BOM_UTF8)):
+        lexicon = tmp_path / name / "en.tsv"
+        lexicon.parent.mkdir()
+        lexicon.write_bytes(mark + (data / "en.tsv").read_bytes())
+        (tmp_path / name / "en.tsv.rules").write_bytes(mark + (data / "en.rules").read_bytes())
+        lexicons.append(load_lexicon(str(lexicon), str(lexicon) + ".rules"))
+        results.append(run(["check", spec, "--lexicon", f"English={lexicon}"], capsys))
+    assert lexicons[1] == lexicons[0]
+    assert results[1] == results[0] and results[0][0] == 1
 
 
 class TestMalformedLexicon:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import rslkit.matching
+import rslkit.rules
 from conftest import by_code, check_fixture, check_source
 from rslkit.checks import run_all_checks
 from rslkit.lexicon import Lexicon
@@ -191,8 +191,8 @@ class TestRuleMechanics:
 
 def test_name_normalizations_grow_linearly_with_the_spec(monkeypatch):
     calls = []
-    real = rslkit.matching.normalize
-    monkeypatch.setattr(rslkit.matching, "normalize", lambda text: calls.append(text) or real(text))
+    real = rslkit.rules.normalize
+    monkeypatch.setattr(rslkit.rules, "normalize", lambda text: calls.append(text) or real(text))
 
     def count(pairs: int) -> int:
         src = UC_RULE + "".join(

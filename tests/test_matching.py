@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_match_pattern
 from rslkit.lexicon import analyze, builtin_lexicon
-from rslkit.matching import FragmentIndex, match_pattern, normalize
+from rslkit.rules import FragmentIndex, match_pattern, normalize
 from rslkit.model import (
     FRAGMENTS,
     POS_CATEGORIES,

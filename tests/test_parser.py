@@ -28,12 +28,10 @@ class TestLexer:
         assert tokens.kinds[0] == "error"
 
     def test_content_span_matches_inner_text(self):
-        src = 'Actor a "Manager" : User'
-        tokens = tokenize(src)
-        i = tokens.kinds.index("string")
-        inner = tokens.lines.content_span(tokens.starts[i], tokens.ends[i])
-        assert src[inner.offset : inner.offset + inner.length] == "Manager"
-        assert inner.length == len(tokens.texts[i])
+        src = 'Actor a "Manager" : User [description "a \\"boss\\""]'
+        (actor,) = parse_ok(src).elements
+        for span, inner in ((actor.name_span, "Manager"), (actor.description_span, 'a \\"boss\\"')):
+            assert src[span.offset : span.offset + span.length] == inner
 
     def test_comment_skipped(self):
         kinds = tokenize("// note\nActor").kinds

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from rslkit.checks import GlossaryIndex
 from rslkit.lexicon import Lexicon
-from rslkit.matching import MatchResult
+from rslkit.rules import MatchResult
 from rslkit import model
 from rslkit.model import (
     Attribute,
@@ -51,7 +50,6 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert Model().includes is not Model().includes
     assert Workspace().sources is not Workspace().sources
     assert Lexicon().entries is not Lexicon().entries
-    assert GlossaryIndex().diagnostics is not GlossaryIndex().diagnostics
     model = Model()
     assert ResolvedModel(model, None, [], []).bindings is not ResolvedModel(model, None, [], []).bindings
     m = Model()
