@@ -50,15 +50,21 @@ def check_linguistic_rules(rm: ResolvedModel, rules: list, lex: Lexicon) -> list
 
 # --- duplicate IDs ----------------------------------------------------------
 
-def fresh_id(base: str, taken: set[str]) -> str:
-    """`base`, else the first free `{base}_{n}` with n >= 2; the id chosen joins `taken`."""
+def fresh_ids(base: str, taken: set[str]):
+    """Yield `base` if free, then each free `{base}_{n}` for n = 2, 3, ...; each id joins `taken` as it is yielded.
+
+    The scan goes on from the last id it yielded: the ids it passed were
+    taken, and `taken` only grows, so each id is the one a scan from
+    `base` would find then.
+    """
     new_id = base
     n = 1
-    while new_id in taken:
+    while True:
+        if new_id not in taken:
+            taken.add(new_id)
+            yield new_id
         n += 1
         new_id = f"{base}_{n}"
-    taken.add(new_id)
-    return new_id
 
 
 def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
@@ -70,29 +76,16 @@ def check_unique_ids(rm: ResolvedModel) -> list[Diagnostic]:
     for elem_id, group in groups.items():
         if len(group) < 2:
             continue
+        message = f"Duplicate element ID '{elem_id}'"
+        new_ids = fresh_ids(elem_id, taken)
         for n, elem in enumerate(group, start=1):
-            span = elem.id_span or elem.span
-            related = tuple(
-                (other.id_span or other.span, f"'{elem_id}' is also defined here")
-                for other in group
-                if other is not elem
-            )
             fixes = ()
             if n >= 2 and elem.id_span is not None:
-                new_id = fresh_id(elem_id, taken)
+                new_id = next(new_ids)
                 fixes = (
                     QuickFix(f"Rename to '{new_id}'", (TextEdit(elem.id_span, new_id),)),
                 )
-            diags.append(
-                Diagnostic(
-                    "Error",
-                    "RSL-V001",
-                    f"Duplicate element ID '{elem_id}'",
-                    span,
-                    related=related,
-                    fixes=fixes,
-                )
-            )
+            diags.append(Diagnostic("Error", "RSL-V001", message, elem.id_span or elem.span, fixes=fixes))
     return diags
 
 
@@ -328,7 +321,7 @@ def run_all_checks(
         else:
             from .lexicon import Lexicon
 
-            lex = Lexicon(language=language)
+            lex = Lexicon()
     diags.extend(check_glossary(rm, lex, glossary))
     diags.extend(check_hierarchy_cycles(rm))
 

@@ -15,7 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from .checks import run_all_checks
-from .model import Diagnostic, OverlappingEdits, TextEdit, apply_edits, edit_order
+from .model import LANGUAGES, Diagnostic, OverlappingEdits, TextEdit, apply_edits, edit_order
 from .workspace import Workspace, load_workspace, read_spec, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
@@ -35,12 +35,11 @@ def parse_mapping(pairs: list[str], what: str) -> dict:
     return out
 
 
-def read_source(path: str, what: str = "") -> str:
+def read_source(path: str, what: str) -> str:
     """UTF-8 text of a file; unreadable or undecodable files are usage errors."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        what = what or f"'{path}'"
         raise UsageError(f"cannot read {what}: {exc}")
 
 
@@ -111,11 +110,13 @@ def build_workspace(paths: list[str], args):
 def load_lexicon_overrides(args) -> dict:
     overrides = {}
     for lang, path in parse_mapping(args.lexicon, "--lexicon").items():
+        if lang not in LANGUAGES:  # a spec can declare no other language, so its lexicon could never be read
+            raise UsageError(f"unknown --lexicon language '{lang}' (expected one of {', '.join(LANGUAGES)})")
         from .lexicon import LexiconFormatError, load_lexicon
 
         suffix_path = path + ".rules" if Path(path + ".rules").exists() else None
         try:
-            overrides[lang] = load_lexicon(path, suffix_path, language=lang)
+            overrides[lang] = load_lexicon(path, suffix_path)
         except (OSError, UnicodeDecodeError, LexiconFormatError) as exc:
             raise UsageError(f"cannot read lexicon '{path}': {exc}")
     return overrides
@@ -357,7 +358,7 @@ def cmd_gen(args) -> int:
     lexicons = load_lexicon_overrides(args)
     rm = resolve(ws.system(targets[0]), ws)
     diags = run_all_checks(rm, ws, lexicons)
-    refusal = ensure_valid(rm, diags)
+    refusal = ensure_valid(diags)
     if refusal is not None:
         sys.stdout.write(report_human([d for d in diags if d.severity == "Error"]))
         print(refusal)

@@ -13,7 +13,7 @@ from .model import KIND_TABLE, Diagnostic, element_type
 from .printer import print_pattern
 from .workspace import ResolvedModel
 
-def ensure_valid(rm: ResolvedModel, diags: list[Diagnostic]) -> Optional[str]:
+def ensure_valid(diags: list[Diagnostic]) -> Optional[str]:
     """None when generation may proceed; the refusal text, with the first three errors, when errors exist."""
     errors = [d for d in diags if d.severity == "Error"]
     if not errors:

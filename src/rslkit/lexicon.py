@@ -72,10 +72,9 @@ class Token(Record):
 
 
 class Lexicon(Record):
-    language: str = "English"
     entries: dict = {}  # lower surface -> set[(upos, lemma)]
     suffix_rules: list = []
-    words: dict = Field({}, repr=False)  # surface -> tag(surface)
+    words: dict = Field({})  # surface -> tag(surface)
 
     def add(self, surface: str, lemma: str, upos: str):
         self.entries.setdefault(surface.lower(), set()).add((upos, lemma.lower()))
@@ -135,9 +134,9 @@ def _parse_suffix_lines(lex: Lexicon, text: str, path: str):
     lex.words.clear()
 
 
-def load_lexicon(path: str, suffix_path: Optional[str] = None, language: str = "English") -> Lexicon:
+def load_lexicon(path: str, suffix_path: Optional[str] = None) -> Lexicon:
     """Load a TSV lexicon, plus an optional suffix-rule file for OOV words."""
-    lex = Lexicon(language=language)
+    lex = Lexicon()
     with open(path, encoding="utf-8") as f:
         _parse_lexicon_lines(lex, f.read(), path)
     if suffix_path is not None:
@@ -158,7 +157,7 @@ def builtin_lexicon(language: str) -> Optional[Lexicon]:
     if code is None:
         return None
     base = os.path.join(DATA_DIR, code)
-    return load_lexicon(base + ".tsv", base + ".rules", language=language)
+    return load_lexicon(base + ".tsv", base + ".rules")
 
 
 def split_sentences(text: str) -> list[tuple[int, str]]:

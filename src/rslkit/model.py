@@ -6,9 +6,9 @@ of `==` so that reparsed models compare equal; a diagnostic's span counts.
 Every value class in rslkit but `SourceSpan` is a `Record`: a slotted
 class whose fields are its annotations, in order, base class fields
 first, with the class attribute of the same name as the default. A
-`Field` default always keeps its field out of `==`, and with
-`repr=False` out of `repr()` too; an empty list or dict default is built
-anew for each instance. Each class gets one generated method, `__init__`
+field whose default is a `Field` is outside `==` and `repr()`; every
+other field is inside both. An empty list or dict default is built anew
+for each instance. Each class gets one generated method, `__init__`
 (positional or keyword arguments, plain assignment), from one `exec` at
 the class's first construction, so importing a module compiles none and
 a command compiles only the constructors of the classes it builds.
@@ -26,16 +26,15 @@ from typing import Optional
 
 
 class Field:
-    """A field default that `==` leaves out, and `repr()` too with repr=False."""
+    """A field default that `==` and `repr()` leave out."""
 
-    __slots__ = ("default", "repr")
+    __slots__ = ("default",)
 
-    def __init__(self, default=None, *, repr: bool = True):
+    def __init__(self, default=None):
         self.default = default
-        self.repr = repr
 
 
-SPAN = Field(repr=False)  # a source span: None by default, outside == and repr()
+SPAN = Field()  # a source span: None by default, outside == and repr()
 
 _REQUIRED = object()  # no default: the argument is required
 _FRESH = object()  # stands in for an empty list or dict default until __init__ builds a new one
@@ -45,29 +44,26 @@ class _RecordType(type):
     """Gives each Record class its slots, field tuples, a first `__init__` and, unless frozen, `__hash__ = None`."""
 
     def __new__(mcs, name, bases, ns, frozen: bool = False):
-        fields, defaults, compared, shown = [], {}, [], []
+        fields, defaults, compared = [], {}, []
         for base in bases:
             if isinstance(base, _RecordType):
                 fields += base._fields
                 defaults.update(base._defaults)
                 compared += base._compared
-                shown += base._shown
         # Under `from __future__ import annotations` (every rslkit module) the
         # class body leaves its annotations in the namespace, as strings.
         own = tuple(ns.get("__annotations__", ()))
         for f in own:
-            default, show = ns.pop(f, _REQUIRED), True
+            default = ns.pop(f, _REQUIRED)
             if isinstance(default, Field):
-                default, show = default.default, default.repr
+                default = default.default
             else:
                 compared.append(f)
             if default is not _REQUIRED:
                 defaults[f] = default
             fields.append(f)
-            if show:
-                shown.append(f)
         ns["__slots__"] = own
-        ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared), _shown=tuple(shown))
+        ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared))
         if bases:
             ns["__init__"] = _first_init
             ns["__hash__"] = Record.__hash__ if frozen else None
@@ -119,7 +115,7 @@ class Record(metaclass=_RecordType):
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
         return f"{type(self).__qualname__}({shown})"
 
 
@@ -230,7 +226,6 @@ class Diagnostic(Record, frozen=True):
     code: str
     message: str
     span: SourceSpan
-    related: tuple[tuple[SourceSpan, str], ...] = ()
     fixes: tuple[QuickFix, ...] = ()
 
     def sort_key(self):
@@ -269,7 +264,7 @@ def apply_edits(source: str, edits: list[TextEdit] | tuple[TextEdit, ...]) -> st
     return "".join(parts)
 
 
-# --- pattern expressions ------------------------------------------------
+# --- pattern parts ------------------------------------------------------
 
 POS_CATEGORIES = {
     "Verb": "VERB",
@@ -300,10 +295,6 @@ class FragmentRefPart(Record, frozen=True):
 
 class AltPart(Record, frozen=True):
     options: tuple  # of PosPart | LitPart | FragmentRefPart
-
-
-class PatternExpr(Record, frozen=True):
-    parts: tuple
 
 
 # --- elements -------------------------------------------------------------
@@ -385,7 +376,7 @@ class LinguisticRuleDecl(Element):
     rule_kind: str = "Syntax"
     target_kind: str = "UseCase"
     fragment: str = "name"
-    pattern: Optional[PatternExpr] = None
+    pattern: Optional[tuple] = None  # the parts of `Part + Part ...`: PosPart | LitPart | FragmentRefPart | AltPart
     severity: str = "Error"
 
 
@@ -414,7 +405,6 @@ class Model(Record):
     elements: list = []
     includes: list = []
     language_decl: Optional[LinguisticLanguageDecl] = None
-    file: str = Field("<memory>")
     end_span: Optional[SourceSpan] = SPAN
 
     @property

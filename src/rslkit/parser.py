@@ -49,7 +49,6 @@ from .model import (
     IncludeDecl,
     LitPart,
     Model,
-    PatternExpr,
     PosPart,
     SourceSpan,
 )
@@ -72,7 +71,6 @@ class _Parser:
         self.ends = tokens.ends
         self.lines = tokens.lines
         self.pos = 0  # index of the next token
-        self.file = file
         self.diagnostics: list[Diagnostic] = []
         # A parse whose lex is kept records its declarations, and the parse
         # of the re-lexed text keeps those whose tokens were copied (see `relex.Lex`).
@@ -141,7 +139,7 @@ class _Parser:
     # -- document ----------------------------------------------------------
 
     def parse_document(self) -> Model:
-        model = Model(file=self.file)
+        model = Model()
         kinds, texts, kept, decls = self.kinds, self.texts, self.kept, self.decls
         while kinds[self.pos] != "end":
             pos = self.pos
@@ -373,11 +371,11 @@ class _Parser:
 
     # -- linguistic patterns -------------------------------------------------
 
-    def parse_pattern(self) -> PatternExpr:
+    def parse_pattern(self) -> tuple:
         parts = [self.parse_pattern_part()]
         while self.accept("+") is not None:
             parts.append(self.parse_pattern_part())
-        return PatternExpr(tuple(parts))
+        return tuple(parts)
 
     def parse_pattern_part(self):
         if self.accept("(") is None:

@@ -13,7 +13,6 @@ from .model import (
     IncludeDecl,
     LitPart,
     Model,
-    PatternExpr,
     PosPart,
     element_type,
 )
@@ -34,8 +33,8 @@ def pattern_atom(part) -> str:
 # itself is a reference cycle, left as garbage by every call.
 
 
-def print_pattern(pattern: PatternExpr) -> str:
-    return " + ".join(_printed(p) for p in pattern.parts)
+def print_pattern(parts: tuple) -> str:
+    return " + ".join(_printed(p) for p in parts)
 
 
 def _printed(part) -> str:
@@ -44,9 +43,9 @@ def _printed(part) -> str:
     return quote(part.text) if isinstance(part, LitPart) else pattern_atom(part)
 
 
-def render_pattern(pattern: PatternExpr) -> str:
+def render_pattern(parts: tuple) -> str:
     """Pattern for messages: each non-literal part parenthesized, literals unescaped."""
-    return " + ".join(_rendered(p) for p in pattern.parts)
+    return " + ".join(_rendered(p) for p in parts)
 
 
 def _rendered(part) -> str:

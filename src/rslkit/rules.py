@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .checks import fresh_id
+from .checks import fresh_ids
 from .lexicon import WORD_RE, Lexicon, Token, analyze, split_sentences
 from .model import (
     POS_CATEGORIES,
@@ -36,7 +36,6 @@ from .model import (
     FragmentRefPart,
     LinguisticRuleDecl,
     LitPart,
-    PatternExpr,
     PosPart,
     QuickFix,
     Record,
@@ -140,9 +139,8 @@ def _walk(parts, tokens: list[Token], index: FragmentIndex, pi: int, ti: int, fa
     return None
 
 
-def match_pattern(pattern: PatternExpr, tokens: list[Token], index: FragmentIndex) -> MatchResult:
+def match_pattern(parts: tuple, tokens: list[Token], index: FragmentIndex) -> MatchResult:
     """Match pattern parts left to right against tokens (prefix semantics)."""
-    parts = pattern.parts
     best = [0, 0]  # furthest failure: token index, part index
     consumed = _walk(parts, tokens, index, 0, 0, set(), best)
     if consumed is not None:
@@ -232,7 +230,7 @@ def check_linguistic_rules(
                     key = (ref.element_kind, result.candidate)
                     if key not in creations:
                         prefix = ID_PREFIXES.get(ref.element_kind, "el")
-                        new_id = fresh_id(f"{prefix}_{_camel(result.candidate)}", taken_ids)
+                        new_id = next(fresh_ids(f"{prefix}_{_camel(result.candidate)}", taken_ids))
                         decl = f'{ref.element_kind} {new_id} "{result.candidate}" : Other []'
                         creations[key] = QuickFix(
                             f"Create '{ref.element_kind}' with name '{result.candidate}'",

@@ -101,10 +101,6 @@ class ResolvedModel(Record):
     bindings: dict = {}  # (id(element), field) -> element
     pulled: dict = {}  # id(include) -> elements it pulled, for each Include/IncludeAll that resolved cleanly
 
-    @property
-    def file(self) -> str:
-        return self.model.file
-
     def binding(self, elem: Element, ref_field: str) -> Optional[Element]:
         return self.bindings.get((id(elem), ref_field))
 

@@ -17,7 +17,6 @@ from rslkit.model import (
     LinguisticRuleDecl,
     LitPart,
     Model,
-    PatternExpr,
     POS_CATEGORIES,
     PosPart,
     SEVERITIES,
@@ -72,7 +71,7 @@ class ModelGen:
             self.rng.choice(FRAGMENTS),
         )
 
-    def pattern(self) -> PatternExpr:
+    def pattern(self) -> tuple:
         parts = []
         for _ in range(self.rng.randint(1, 4)):
             if self.rng.random() < 0.25:
@@ -81,7 +80,7 @@ class ModelGen:
                 )
             else:
                 parts.append(self.pattern_atom())
-        return PatternExpr(tuple(parts))
+        return tuple(parts)
 
     def attribute(self, allow_key: bool) -> Attribute:
         pool = list(CONSTRAINTS) if allow_key else [c for c in CONSTRAINTS if c != "PrimaryKey"]
@@ -94,7 +93,7 @@ class ModelGen:
         )
 
     def generate(self) -> Model:
-        model = Model(file="<generated>")
+        model = Model()
         if self.rng.random() < 0.3:
             lang = LinguisticLanguageDecl(
                 id=self.ident("l"), language=self.rng.choice(LANGUAGES)

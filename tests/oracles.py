@@ -48,6 +48,10 @@ The argument-parser oracle is `cli.make_parser` as it was when it built
 every command's parser on each call: its help and usage errors are what
 the CLI must still print, byte for byte, on every Python version.
 
+The rename oracle is `checks.fresh_id` as it was before V001 resumed
+its scan within a group of copies: each new id is sought from `{id}_2`
+again, so a group of N copies tries O(N^2) ids.
+
 The fix-edit oracles are `cli.collect_fix_edits` and `model.apply_edits`
 as they were before each became one pass: the first tests a new edit
 against every edit chosen so far and keeps each file's edits in the order
@@ -87,7 +91,6 @@ from rslkit.model import (
     LitPart,
     Model,
     OverlappingEdits,
-    PatternExpr,
     PosPart,
     QuickFix,
     SourceSpan,
@@ -159,6 +162,17 @@ def nodes_on_simple_cycles(graph: dict) -> set:
     return out
 
 
+def oracle_fresh_id(base: str, taken: set) -> str:
+    """`base`, else the first free `{base}_{n}` with n >= 2; the id chosen joins `taken`."""
+    new_id = base
+    n = 1
+    while new_id in taken:
+        n += 1
+        new_id = f"{base}_{n}"
+    taken.add(new_id)
+    return new_id
+
+
 def _fragment_values(elements, kind: str, fragment: str) -> set:
     values = set()
     for elem in elements:
@@ -170,9 +184,8 @@ def _fragment_values(elements, kind: str, fragment: str) -> set:
     return values
 
 
-def oracle_match_pattern(pattern, tokens, elements) -> MatchResult:
+def oracle_match_pattern(parts, tokens, elements) -> MatchResult:
     """Match pattern parts left to right against tokens (prefix semantics)."""
-    parts = pattern.parts
     frag_cache: dict = {}
     best = [0, 0]  # furthest failure: token index, part index
 
@@ -378,13 +391,13 @@ def oracle_build_workspace(paths: list[str], args):
         if name in seen:
             continue
         seen.add(name)
-        add_system(ws, name, cli.read_source(path), str(path))
+        add_system(ws, name, cli.read_source(path, f"'{path}'"), str(path))
         targets.append(name)
     for name, path in mapping.items():
         if name in seen:
             continue
         seen.add(name)
-        add_system(ws, name, cli.read_source(path), str(Path(path)))
+        add_system(ws, name, cli.read_source(path, f"'{path}'"), str(Path(path)))
     return ws, targets
 
 
@@ -419,7 +432,6 @@ class TokenObjectParser:
     def __init__(self, source: str, file: str):
         self.tokens = oracle_tokenize(source, file)
         self.pos = 0
-        self.file = file
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing ---------------------------------------------------
@@ -485,7 +497,7 @@ class TokenObjectParser:
     # -- document ----------------------------------------------------------
 
     def parse_document(self) -> Model:
-        model = Model(file=self.file)
+        model = Model()
         while not self.at("end"):
             tok = self.peek()
             if tok.kind != "identifier" or tok.text not in _TOP_KEYWORDS:
@@ -774,7 +786,7 @@ class TokenObjectParser:
 
     # -- linguistic patterns -------------------------------------------------
 
-    def parse_pattern(self) -> Optional[PatternExpr]:
+    def parse_pattern(self) -> Optional[tuple]:
         parts = []
         while True:
             part = self.parse_pattern_part()
@@ -783,7 +795,7 @@ class TokenObjectParser:
             parts.append(part)
             if not self.accept("punct", "+"):
                 break
-        return PatternExpr(tuple(parts))
+        return tuple(parts)
 
     def parse_pattern_part(self):
         if self.accept("punct", "("):
@@ -1197,7 +1209,7 @@ def oracle_parse(source: str, file: str = "<memory>"):
     return model, p.diagnostics
 
 
-def oracle_print_pattern(pattern: PatternExpr) -> str:
+def oracle_print_pattern(parts: tuple) -> str:
     def atom(part):
         if isinstance(part, PosPart):
             return part.category
@@ -1208,7 +1220,7 @@ def oracle_print_pattern(pattern: PatternExpr) -> str:
         raise TypeError(part)
 
     rendered = []
-    for part in pattern.parts:
+    for part in parts:
         if isinstance(part, AltPart):
             rendered.append("(" + " | ".join(atom(o) for o in part.options) + ")")
         else:
@@ -1601,9 +1613,9 @@ def oracle_render_part(part, parenthesize: bool = True) -> str:
     raise TypeError(f"not a pattern part: {part!r}")
 
 
-def oracle_render_pattern(pattern: PatternExpr) -> str:
+def oracle_render_pattern(parts: tuple) -> str:
     """Human-readable pattern with each non-literal part parenthesized."""
-    return " + ".join(oracle_render_part(p) for p in pattern.parts)
+    return " + ".join(oracle_render_part(p) for p in parts)
 
 
 # --- tagger and glossary -------------------------------------------------------

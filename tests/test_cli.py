@@ -726,6 +726,20 @@ def test_lexicon_and_suffix_rules_with_a_byte_order_mark_read_as_without(tmp_pat
     assert results[1] == results[0] and results[0][0] == 1
 
 
+@pytest.mark.parametrize("argv", [["check"], ["fix", "--dry-run"], ["gen", "json"]], ids=["check", "fix", "gen"])
+def test_lexicon_for_a_language_no_spec_declares_is_a_usage_error(argv, tmp_path, capsys):
+    """A spec can declare only a language of `model.LANGUAGES`, so a lexicon for any other could never be read."""
+    lexicon = Path(cli.__file__).parent / "data" / "en.tsv"
+    argv = argv + [str(FIXTURES / "billing_defects.rsl"), "--lexicon", f"Englsh={lexicon}"]
+    code, out, err = run(argv + (["-o", str(tmp_path / "x")] if argv[0] == "gen" else []), capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown --lexicon language 'Englsh' "
+        "(expected one of English, Spanish, German, French, Italian, Portuguese, Japanese)\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 class TestMalformedLexicon:
     """A `--lexicon` file, or its `.rules` companion, that breaks the format is a usage error (exit 2)."""
 

@@ -24,13 +24,13 @@ def resolved(source, system="Main"):
 
 class TestValidityGate:
     def test_clean_fixture_passes(self):
-        rm, diags = check_fixture("billing_clean.rsl")
-        assert ensure_valid(rm, diags) is None
+        _, diags = check_fixture("billing_clean.rsl")
+        assert ensure_valid(diags) is None
 
     def test_defect_fixture_refused(self):
-        rm, diags = check_fixture("billing_defects.rsl")
+        _, diags = check_fixture("billing_defects.rsl")
         errors = [d for d in diags if d.severity == "Error"]
-        assert ensure_valid(rm, diags).splitlines() == [
+        assert ensure_valid(diags).splitlines() == [
             f"specification has {len(errors)} error(s); generation refused",
             *("  - " + d.message.splitlines()[0] for d in errors[:3]),
         ]
@@ -41,9 +41,9 @@ class TestValidityGate:
             'Term t "Customer" : Noun [synonyms "Client"]\n'
             'Actor a_1 "Buyer" : User [description "a client"]\n'
         )
-        rm, diags = check_source(src)
+        _, diags = check_source(src)
         assert any(d.severity == "Warning" for d in diags)
-        assert ensure_valid(rm, diags) is None
+        assert ensure_valid(diags) is None
 
 
 class TestJson:

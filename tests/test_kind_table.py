@@ -127,7 +127,7 @@ def test_generated_models_match_the_oracles():
         model = add_system(ws, "S", text, "s.rsl")
         assert_same_outputs(model, ws)
         # Dropping every other element leaves references dangling (R001).
-        half = Model(elements=model.elements[::2], language_decl=model.language_decl, file="s.rsl")
+        half = Model(elements=model.elements[::2], language_decl=model.language_decl)
         assert_same_outputs(half, ws)
         r001 += any(d.code == "RSL-R001" for d in resolve(half, ws).diagnostics)
     assert r001 > 100

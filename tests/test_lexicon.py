@@ -97,7 +97,7 @@ class TestLoading:
     def test_custom_lexicon_file(self, tmp_path):
         path = tmp_path / "mini.tsv"
         path.write_text("widget\twidget\tNOUN\nwidgets\twidget\tNOUN\n")
-        lex = load_lexicon(str(path), language="English")
+        lex = load_lexicon(str(path))
         (tok,) = analyze("Widgets", lex)
         assert tok.lemma == "widget" and "NOUN" in tok.tags
 
@@ -178,7 +178,7 @@ SRC = str(Path(rslkit.__file__).resolve().parents[1])
 
 def fresh(lex: Lexicon) -> Lexicon:
     """A copy of `lex` with its own entries and an empty word memo."""
-    return Lexicon(lex.language, {k: set(v) for k, v in lex.entries.items()}, list(lex.suffix_rules))
+    return Lexicon({k: set(v) for k, v in lex.entries.items()}, list(lex.suffix_rules))
 
 
 def word_pool(lex: Lexicon) -> list[str]:

@@ -50,13 +50,13 @@ class TestUseCaseNameScenario:
     def test_diagnostic_points_at_name(self):
         rm, diags = check_fixture("figure7.rsl")
         (d,) = by_code(diags, "RSL-L001")
-        src = Path(rm.file).read_text(encoding="utf-8")
+        src = Path(d.span.file).read_text(encoding="utf-8")
         assert src[d.span.offset : d.span.offset + d.span.length] == "Print Invoice"
 
     def test_applying_fix_satisfies_rule(self):
-        rm, diags = check_fixture("figure7.rsl")
+        _, diags = check_fixture("figure7.rsl")
         (d,) = by_code(diags, "RSL-L001")
-        src = Path(rm.file).read_text(encoding="utf-8")
+        src = Path(d.span.file).read_text(encoding="utf-8")
         fixed = apply_edits(src, d.fixes[0].edits)
         _, diags2 = check_source(fixed)
         assert by_code(diags2, "RSL-L001") == []
@@ -96,7 +96,7 @@ class TestPortugueseScenario:
         assert [d.message for d in by_code(run_all_checks(rm, ws), "RSL-C004")] == [
             "No lexicon available for language 'Japanese'; linguistic rules skipped"
         ]
-        assert by_code(run_all_checks(rm, ws, {"Japanese": Lexicon(language="Japanese")}), "RSL-C004") == []
+        assert by_code(run_all_checks(rm, ws, {"Japanese": Lexicon()}), "RSL-C004") == []
 
 
 class TestRuleMechanics:

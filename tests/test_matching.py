@@ -14,20 +14,17 @@ from rslkit.model import (
     DataEntity,
     FragmentRefPart,
     LitPart,
-    PatternExpr,
     PosPart,
 )
 
 EN = builtin_lexicon("English")
 
-VERB_ENTITY = PatternExpr((PosPart("Verb"), FragmentRefPart("DataEntity", "name")))
-FR_PATTERN = PatternExpr(
-    (
-        LitPart("System"),
-        LitPart("shall"),
-        PosPart("Verb"),
-        FragmentRefPart("DataEntity", "name"),
-    )
+VERB_ENTITY = (PosPart("Verb"), FragmentRefPart("DataEntity", "name"))
+FR_PATTERN = (
+    LitPart("System"),
+    LitPart("shall"),
+    PosPart("Verb"),
+    FragmentRefPart("DataEntity", "name"),
 )
 
 
@@ -81,21 +78,19 @@ class TestFragmentRefs:
     def test_longest_run_preferred_with_backtracking(self):
         # Both "Invoice" and "Invoice Line" exist; a following literal
         # forces the shorter consumption.
-        pattern = PatternExpr(
-            (PosPart("Verb"), FragmentRefPart("DataEntity", "name"), LitPart("Line"))
-        )
+        pattern = (PosPart("Verb"), FragmentRefPart("DataEntity", "name"), LitPart("Line"))
         result = match(pattern, "Manage Invoice Line", entities("Invoice", "Invoice Line"))
         assert result.matched and result.prefix_len == 3
 
     def test_id_fragment(self):
-        pattern = PatternExpr((FragmentRefPart("DataEntity", "id"),))
+        pattern = (FragmentRefPart("DataEntity", "id"),)
         elems = entities("Invoice")
         result = match_pattern(pattern, analyze("e_0", EN), FragmentIndex(elems))
         assert result.matched
 
 
 class TestAlternation:
-    NOUNISH = PatternExpr((AltPart((PosPart("Noun"), PosPart("ProperNoun"))),))
+    NOUNISH = (AltPart((PosPart("Noun"), PosPart("ProperNoun"))),)
 
     def test_noun_matches(self):
         assert match(self.NOUNISH, "Manager").matched
@@ -110,9 +105,7 @@ class TestAlternation:
         assert isinstance(result.expectation, AltPart)
 
     def test_alt_with_fragment_ref_supplies_candidate(self):
-        pattern = PatternExpr(
-            (AltPart((LitPart("the"), FragmentRefPart("DataEntity", "name"))),)
-        )
+        pattern = (AltPart((LitPart("the"), FragmentRefPart("DataEntity", "name"))),)
         result = match(pattern, "Report", [])
         assert not result.matched and result.candidate == "Report"
 
@@ -139,7 +132,7 @@ class TestBacktrackingCost:
         # 18 name parts over 36 tokens, each part able to take one or two
         # tokens, then a literal that never matches: plain backtracking
         # visits every composition of the prefix before giving up.
-        pattern = PatternExpr((FragmentRefPart("DataEntity", "name"),) * 18 + (LitPart("zzz"),))
+        pattern = (FragmentRefPart("DataEntity", "name"),) * 18 + (LitPart("zzz"),)
         index = FragmentIndex(entities("Invoice", "Invoice Invoice"))
         lookups, probes = [], []
 
@@ -213,7 +206,7 @@ def match_cases(draw):
             tag = draw(st.sampled_from(sorted(tokens[at].tags)))
             parts.append(PosPart(next(c for c, t in POS_CATEGORIES.items() if t == tag)))
             at += 1
-    return PatternExpr(tuple(parts)), tokens, elems
+    return tuple(parts), tokens, elems
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -13,7 +13,6 @@ from rslkit.model import (
     FragmentRefPart,
     LitPart,
     OverlappingEdits,
-    PatternExpr,
     PosPart,
     SourceSpan,
     TextEdit,
@@ -121,17 +120,15 @@ class TestFragments:
 
 class TestPatternRendering:
     def test_figure_pattern(self):
-        p = PatternExpr((PosPart("Verb"), FragmentRefPart("DataEntity", "name")))
+        p = (PosPart("Verb"), FragmentRefPart("DataEntity", "name"))
         assert render_pattern(p) == "(Verb) + (DataEntity.name)"
 
     def test_literals_and_alternation(self):
-        p = PatternExpr(
-            (
-                LitPart("System"),
-                LitPart("shall"),
-                PosPart("Verb"),
-                AltPart((PosPart("Noun"), PosPart("ProperNoun"))),
-            )
+        p = (
+            LitPart("System"),
+            LitPart("shall"),
+            PosPart("Verb"),
+            AltPart((PosPart("Noun"), PosPart("ProperNoun"))),
         )
         assert render_pattern(p) == '"System" + "shall" + (Verb) + (Noun | ProperNoun)'
 

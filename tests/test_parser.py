@@ -103,7 +103,7 @@ class TestStructure:
         assert rule.target_kind == "UseCase"
         assert rule.fragment == "name"
         assert rule.severity == "Warning"
-        assert len(rule.pattern.parts) == 4
+        assert len(rule.pattern) == 4
 
     def test_language_decl(self):
         model = parse_ok("LinguisticLanguage l : Portuguese")

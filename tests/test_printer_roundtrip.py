@@ -23,7 +23,6 @@ from rslkit.model import (
     LinguisticRuleDecl,
     LitPart,
     Model,
-    PatternExpr,
     PosPart,
     Stakeholder,
     Term,
@@ -156,7 +155,7 @@ elements = st.one_of(
         LinguisticRuleDecl,
         target_kind=st.sampled_from(KINDS),
         fragment=st.sampled_from(FRAGMENTS),
-        pattern=pattern.map(tuple).map(PatternExpr),
+        pattern=pattern.map(tuple),
         severity=st.sampled_from(SEVERITIES),
     ),
 )

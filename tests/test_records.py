@@ -57,12 +57,12 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert Model().elements == []
 
 
-def test_equality_ignores_spans_and_model_file():
+def test_equality_ignores_spans():
     a = UseCase("uc_1", "Pay", span=span(0), id_span=span(1), primary_actor="a_1", primary_actor_span=span(5))
     b = UseCase("uc_1", "Pay", span=span(9), primary_actor="a_1")
     assert a == b
     assert a != UseCase("uc_1", "Pay", primary_actor="a_2")
-    assert Model([a], file="x.rsl", end_span=span(3)) == Model([b], file="y.rsl")
+    assert Model([a], end_span=span(3)) == Model([b])
     assert Model([a]) != Model([a], [object()])
     # A span is compared where it is the subject, not a position.
     assert Diagnostic("Error", "C", "m", span(0)) != Diagnostic("Error", "C", "m", span(1))
@@ -97,9 +97,7 @@ def test_mutable_records_are_unhashable():
 def test_repr_leaves_out_span_fields():
     e = Element("e_1", "Invoice", span=span(0), id_span=span(1))
     assert repr(e) == "Element(id='e_1', name='Invoice', description=None)"
-    assert repr(Model(file="m.rsl", end_span=span(2))) == (
-        "Model(elements=[], includes=[], language_decl=None, file='m.rsl')"
-    )
+    assert repr(Model(end_span=span(2))) == "Model(elements=[], includes=[], language_decl=None)"
     assert repr(PosPart("Verb")) == "PosPart(category='Verb')"
     assert "_ids" not in repr(Workspace())
 
