@@ -25,6 +25,16 @@ class UsageError(Exception):
     pass
 
 
+def write_stdout(text: str) -> None:
+    """Write to standard output; a write that fails, such as to a full disk, is a usage error (exit 2)."""
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise UsageError("cannot write to standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write to standard output: {exc}")
+
+
 def parse_mapping(pairs: list[str], what: str) -> dict:
     out = {}
     for pair in pairs or ():
@@ -223,9 +233,9 @@ def cmd_check(args) -> int:
     lexicons = load_lexicon_overrides(args)
     diags = check_all(ws, targets, lexicons)
     if args.format == "json":
-        sys.stdout.write(report_json(diags, ws, targets))
+        write_stdout(report_json(diags, ws, targets))
     else:
-        sys.stdout.write(report_human(diags))
+        write_stdout(report_human(diags))
     return exit_code(diags)
 
 
@@ -304,7 +314,7 @@ def cmd_fix(args) -> int:
     per_file, notices = collect_fix_edits(diags, args.create_missing)
     del diags  # the first pass is not needed past this point
     for notice in notices:
-        print(notice)
+        write_stdout(notice + "\n")
 
     fixed: dict[str, tuple] = {}  # file -> (the text that was checked, that text fixed)
     for path, edits in sorted(per_file.items()):
@@ -313,7 +323,7 @@ def cmd_fix(args) -> int:
         try:
             new = apply_edits(old, edits)
         except OverlappingEdits as exc:
-            print(f"skipped fixes for {path}: {exc}")
+            write_stdout(f"skipped fixes for {path}: {exc}\n")
             continue
         if new != old:
             fixed[path] = (old, new)
@@ -322,7 +332,7 @@ def cmd_fix(args) -> int:
     if args.apply:
         for path, (old, new) in list(fixed.items()):
             if not unchanged_on_disk(path, old):
-                print(f"skipped fixes for {path}: file changed on disk since it was checked")
+                write_stdout(f"skipped fixes for {path}: file changed on disk since it was checked\n")
                 del fixed[path]
                 continue
             write_atomically(path, new)
@@ -336,7 +346,7 @@ def cmd_fix(args) -> int:
                 fromfile=str(Path(path)),
                 tofile=str(Path(path)) + " (fixed)",
             )
-            sys.stdout.write("".join(diff))
+            write_stdout("".join(diff))
 
     # Exit status reflects the post-fix state for both modes. The re-check
     # reuses the workspace: only the systems whose text changed parse again.
@@ -345,9 +355,9 @@ def cmd_fix(args) -> int:
             ws.register(name, fixed[path][1], path, per_file[path])
     post = check_all(ws, targets, lexicons)
     if not any_fixes and not notices:
-        print("no applicable fixes")
+        write_stdout("no applicable fixes\n")
     elif args.apply:
-        print(f"applied fixes to {len(fixed)} file(s)")
+        write_stdout(f"applied fixes to {len(fixed)} file(s)\n")
     return exit_code(post)
 
 
@@ -360,8 +370,8 @@ def cmd_gen(args) -> int:
     diags = run_all_checks(rm, ws, lexicons)
     refusal = ensure_valid(diags)
     if refusal is not None:
-        sys.stdout.write(report_human([d for d in diags if d.severity == "Error"]))
-        print(refusal)
+        write_stdout(report_human([d for d in diags if d.severity == "Error"]))
+        write_stdout(refusal + "\n")
         return 1
     del ws, diags  # generation reads only `rm`; free the other systems' texts and models first
 
@@ -385,7 +395,7 @@ def cmd_gen(args) -> int:
         Path(args.output).write_text(output, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
-    print(f"wrote {args.output}")
+    write_stdout(f"wrote {args.output}\n")
     return 0
 
 
@@ -468,5 +478,29 @@ def run_command(argv=None) -> int:
         return 2
 
 
+def process_main() -> int:
+    """The `rslkit` process: `main`, the last flush of stdout, then an exit with the heap frozen.
+
+    Frozen, the heap is left out of the collections the interpreter runs
+    as it exits, while `atexit` handlers and the final flushes still run.
+    Data still buffered for stdout is flushed here, so a failure to write
+    it is reported as one written while the command ran.
+    """
+    code = main()
+    if sys.stdout is not None:  # None when the process started with no stdout
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # The exit would flush the same bytes again and print the error: they go to os.devnull instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if code != 2:  # a run that exits 2 has said why on stderr, and may have lost this write already
+                print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+                code = 2
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

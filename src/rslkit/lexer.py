@@ -105,12 +105,7 @@ def line_starts(source: str) -> list[int]:
     """Offset of the first character of each line of source; "\\r\\n", a lone "\\r" and "\\n" each end a line."""
     if "\r" in source:  # the same length, so every offset stands
         source = source.replace("\r\n", " \n").replace("\r", "\n")
-    starts = [0]
-    i = source.find("\n")
-    while i != -1:
-        starts.append(i + 1)
-        i = source.find("\n", i + 1)
-    return starts
+    return [0, *[m.end() for m in re.finditer("\n", source)]]
 
 
 class Tokens:

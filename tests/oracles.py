@@ -13,6 +13,10 @@ walks every character to keep line and column and builds every span
 eagerly. A line ends at "\r\n", a lone "\r" or "\n", as with universal
 newlines, and a string or a `//` comment stops at either character.
 
+The line-start oracle walks the text one character at a time, and a
+line starts after each "\n", each "\r" not followed by "\n", as in the
+tokenizer oracle.
+
 The workspace-loader oracle is the eager loader the CLI used to have: it
 parses every input and manifest entry up front, whether or not a target
 reaches it.
@@ -282,6 +286,14 @@ class OracleToken:
 def content_span(tok: OracleToken) -> SourceSpan:
     """Span inside the quotes of a string token; a string never crosses a line."""
     return tok.span.slice(1, max(tok.span.length - 1, 1))
+
+
+def oracle_line_starts(source: str) -> list[int]:
+    starts = [0]
+    for i, ch in enumerate(source):
+        if ch == "\n" or (ch == "\r" and source[i + 1 : i + 2] != "\n"):
+            starts.append(i + 1)
+    return starts
 
 
 def oracle_tokenize(source: str, file: str = "<memory>") -> list[OracleToken]:

@@ -1,8 +1,13 @@
 """Command line behavior: subcommands, reports, exit codes, fix application."""
 
+import contextlib
+import errno
+import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from codecs import BOM_UTF8
 from pathlib import Path
@@ -781,6 +786,46 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+# Each command line below writes to stdout: a small report, a line after the
+# output file is written, and a report larger than stdout's 8 KB buffer, so
+# that a buffered write fails while the command runs and again at the exit.
+STDOUT_WRITERS = {
+    "check": ["check", "--format", "json", str(FIXTURES / "billing_defects.rsl")],
+    "gen": ["gen", "json", str(FIXTURES / "billing_clean.rsl"), "-o", "out.json"],
+    "large report": ["check", "copies.rsl"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", STDOUT_WRITERS)
+def test_a_failed_write_to_stdout_exits_2_with_one_line_on_stderr(command, unbuffered, tmp_path):
+    (tmp_path / "copies.rsl").write_text('Actor a "Operator" : User\n' * 200, encoding="utf-8")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:  # each write reaches the file at once, so it fails inside the command
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "rslkit.cli", *STDOUT_WRITERS[command]],
+            cwd=tmp_path, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 2
+    assert out.stderr == f"error: cannot write to standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    if command == "gen":
+        assert (tmp_path / "out.json").exists()
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("stdout", [FullStdout(), None], ids=["full", "closed"])
+def test_main_reports_a_failed_write_to_stdout_as_a_usage_error(stdout, capsys):
+    with contextlib.redirect_stdout(stdout):
+        assert main(["check", str(FIXTURES / "billing_clean.rsl")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write to standard output: ")
 
 
 @settings(

@@ -6,17 +6,26 @@ GC state it found. Collecting rarely costs no memory only because a run
 leaves a constant amount of cyclic garbage, whatever the size of the
 spec; the second test pins that, and the last that rendering a template
 leaves none.
+
+A command run as a process, by `python -m rslkit.cli` or by the `rslkit`
+console script, exits with its heap frozen, so the collections the
+interpreter runs at exit have next to nothing to scan.
 """
 
+import ast
 import contextlib
 import gc
 import importlib.util
 import io
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import rslkit.cli
 from conftest import fixture_path
 from rslkit.cli import main
 
@@ -112,3 +121,42 @@ def test_render_leaves_no_cyclic_garbage(restore_gc):
         garbage = gc.collect()
         gc.enable()
     assert garbage == 0
+
+
+SRC = str(Path(rslkit.__file__).resolve().parents[1])
+# The two ways a command runs as a process: `python -m rslkit.cli`, and the
+# console-script wrapper that pip writes for `[project.scripts]`, which
+# imports the function the script names and exits with what it returns.
+PROCESS_ENTRIES = {
+    "python -m": "runpy.run_module('rslkit.cli', run_name='__main__', alter_sys=True)",
+    "console script": "from rslkit import cli; sys.exit(getattr(cli, {script!r})())",
+}
+
+
+def console_script() -> str:
+    """The function of `rslkit.cli` that pyproject.toml's `rslkit` script names."""
+    return re.search(r'^rslkit = "rslkit\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+
+
+@pytest.mark.parametrize("entry", PROCESS_ENTRIES)
+def test_a_command_run_as_a_process_exits_with_its_heap_frozen(entry, tmp_path):
+    """The interpreter's exit-time collections find next to nothing left to scan."""
+    probe = tmp_path / "probe.txt"
+    code = (
+        "import atexit, gc, pathlib, runpy, sys\n"
+        f"atexit.register(lambda: pathlib.Path({str(probe)!r}).write_text(f'{{gc.get_freeze_count()}} {{len(gc.get_objects())}}'))\n"
+        f"sys.argv = ['rslkit', 'check', '--format', 'json', {fixture_path('billing_defects.rsl')!r}]\n"
+        + PROCESS_ENTRIES[entry].format(script=console_script())
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    frozen, tracked = map(int, probe.read_text().split())
+    assert frozen > 0
+    assert tracked < 1000
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    tree = ast.parse(Path(rslkit.cli.__file__).read_text(encoding="utf-8"))
+    (block,) = (node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in block.body] == [f"sys.exit({console_script()}())"]

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import rslkit.lexer
 from conftest import FIXTURES, fixture_path
+from oracles import oracle_line_starts
 from rslkit.cli import main
-from rslkit.lexer import LineTable
+from rslkit.lexer import LineTable, line_starts
 from rslkit.model import SourceSpan
 
 # Blank lines, "\r\n" endings, non-ASCII text and sources without a trailing newline.
@@ -27,6 +28,12 @@ def line_col(source: str, offset: int) -> tuple[int, int]:
         if ch == "\n" or (ch == "\r" and source[i + 1 : i + 2] != "\n"):
             line, start = line + 1, i + 1
     return line, offset - start + 1
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_line_starts_agree_with_the_oracle(source):
+    assert line_starts(source) == oracle_line_starts(source)
 
 
 @st.composite
