@@ -8,8 +8,6 @@ into one deterministically ordered list.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .model import (
     BUILTIN_LEXICONS,
     KIND_TABLE,
@@ -21,16 +19,13 @@ from .model import (
 )
 from .workspace import ResolvedModel, Workspace, inline_include_fix
 
-if TYPE_CHECKING:
-    from .lexicon import Lexicon
-
 
 # The tagger loads with the first lexicon, and the rule checker and its
 # matcher with the first rule: a spec with neither compiles none of them.
 # Each of these is called through this module, where the perfbench trace
 # wraps it.
 
-def builtin_lexicon(language: str) -> Optional[Lexicon]:
+def builtin_lexicon(language: str) -> Lexicon | None:
     from .lexicon import builtin_lexicon
 
     return builtin_lexicon(language)
@@ -127,7 +122,7 @@ def build_glossary(rm: ResolvedModel) -> tuple[dict, list[Diagnostic]]:
     return entries, diags
 
 
-def check_glossary(rm: ResolvedModel, lex: Optional[Lexicon], entries: dict) -> list[Diagnostic]:
+def check_glossary(rm: ResolvedModel, lex: Lexicon | None, entries: dict) -> list[Diagnostic]:
     """RSL-V002 for each word of a name or description that is a synonym, by surface or lemma.
 
     `entries` is what `build_glossary` returns; `lex` may be None only when it is empty.
@@ -282,7 +277,7 @@ def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
 
 # --- scheduler ----------------------------------------------------------------
 
-def pick_lexicon(language: str, overrides: Optional[dict] = None) -> Optional[Lexicon]:
+def pick_lexicon(language: str, overrides: dict | None = None) -> Lexicon | None:
     if overrides and language in overrides:
         return overrides[language]
     return builtin_lexicon(language)
@@ -291,7 +286,7 @@ def pick_lexicon(language: str, overrides: Optional[dict] = None) -> Optional[Le
 def run_all_checks(
     rm: ResolvedModel,
     ws: Workspace,
-    lexicons: Optional[dict] = None,
+    lexicons: dict | None = None,
 ) -> list[Diagnostic]:
     """Full pipeline: parse + resolution + custom + linguistic + includes."""
     diags: list[Diagnostic] = []

@@ -401,14 +401,21 @@ def cmd_gen(args) -> int:
 
 # --- entry point -------------------------------------------------------------------
 
-def make_parser(argv: list[str]) -> argparse.ArgumentParser:
+class ArgumentParser(argparse.ArgumentParser):
+    """Writes its help through `write_stdout`: argparse's own `print_help` drops a failed write."""
+
+    def print_help(self, file=None):
+        write_stdout(self.format_help())
+
+
+def make_parser(argv: list[str]) -> ArgumentParser:
     """The parser of the command line `argv`: only the commands it names get their arguments.
 
     argparse hands the rest of the line to the parser of the command
     that `argv` names, and the top-level help and errors list each
     command by name and help alone, so the others need no arguments.
     """
-    ap = argparse.ArgumentParser(prog="rslkit", description="Requirements-language toolchain")
+    ap = ArgumentParser(prog="rslkit", description="Requirements-language toolchain")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, summary, func):
@@ -450,32 +457,20 @@ GEN0_THRESHOLD = 100_000
 
 
 def main(argv=None) -> int:
-    """Run one command under the GC policy above, then restore the caller's GC state."""
+    """Parse and run one command under the GC policy above, then restore the caller's thresholds."""
+    argv = sys.argv[1:] if argv is None else argv
     thresholds = gc.get_threshold()
-    freeze = gc.get_freeze_count() == 0  # objects someone else froze stay theirs to unfreeze
-    if freeze:
-        gc.freeze()  # the import-time heap: nothing in it is freed before exit
     gc.set_threshold(GEN0_THRESHOLD, *thresholds[1:])
     try:
-        return run_command(argv)
-    finally:
-        gc.set_threshold(*thresholds)
-        if freeze:
-            gc.unfreeze()
-
-
-def run_command(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    ap = make_parser(argv)
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = make_parser(argv).parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits after --help and after a usage error
+        return 2 if exc.code else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 def process_main() -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import re
 from functools import cache
-from typing import Optional
 
 from .model import BUILTIN_LEXICONS, POS_CATEGORIES, Field, Record
 
@@ -42,13 +41,13 @@ class LexiconFormatError(Exception):
         self.line_no = line_no
 
 
-class SuffixRule(Record, frozen=True):
+class SuffixRule(Record):
     suffix: str
     upos: str
     strip: str
     append: str
 
-    def apply(self, word: str) -> Optional[tuple[str, str]]:
+    def apply(self, word: str) -> tuple[str, str] | None:
         if not word.endswith(self.suffix):
             return None
         lemma = word
@@ -80,7 +79,7 @@ class Lexicon(Record):
         self.entries.setdefault(surface.lower(), set()).add((upos, lemma.lower()))
         self.words.clear()
 
-    def tag(self, surface: str) -> tuple[Optional[frozenset], str]:
+    def tag(self, surface: str) -> tuple[frozenset | None, str]:
         """(candidate tags, lemma) of one word; tags are None when no entry or suffix rule knows it."""
         tagged = self.words.get(surface)
         if tagged is None:
@@ -134,7 +133,7 @@ def _parse_suffix_lines(lex: Lexicon, text: str, path: str):
     lex.words.clear()
 
 
-def load_lexicon(path: str, suffix_path: Optional[str] = None) -> Lexicon:
+def load_lexicon(path: str, suffix_path: str | None = None) -> Lexicon:
     """Load a TSV lexicon, plus an optional suffix-rule file for OOV words."""
     lex = Lexicon()
     with open(path, encoding="utf-8") as f:
@@ -146,7 +145,7 @@ def load_lexicon(path: str, suffix_path: Optional[str] = None) -> Lexicon:
 
 
 @cache
-def builtin_lexicon(language: str) -> Optional[Lexicon]:
+def builtin_lexicon(language: str) -> Lexicon | None:
     """Shipped lexicon for a language, or None when we carry none.
 
     Loaded once per language for the life of the process and shared by

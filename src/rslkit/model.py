@@ -12,17 +12,15 @@ for each instance. Each class gets one generated method, `__init__`
 (positional or keyword arguments, plain assignment), from one `exec` at
 the class's first construction, so importing a module compiles none and
 a command compiles only the constructors of the classes it builds.
-`__eq__` and `__hash__` are `Record`'s own: two records are equal when
-they have the same class and equal tuples of compared fields, and the
-hash is that tuple's. Only a class made with `frozen=True` keeps the
-hash; the other records are unhashable. `frozen` only adds the hash:
-nothing stops an assignment. `_fields` lists the field names.
+`__eq__` is `Record`'s own: two records are equal when they have the
+same class and equal tuples of compared fields. A class that defines
+`__eq__` and no `__hash__` is unhashable, so records and spans are
+never set members or dict keys. `_fields` lists the field names.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
 
 class Field:
@@ -41,9 +39,9 @@ _FRESH = object()  # stands in for an empty list or dict default until __init__ 
 
 
 class _RecordType(type):
-    """Gives each Record class its slots, field tuples, a first `__init__` and, unless frozen, `__hash__ = None`."""
+    """Gives each Record class its slots, field tuples and a first `__init__`."""
 
-    def __new__(mcs, name, bases, ns, frozen: bool = False):
+    def __new__(mcs, name, bases, ns):
         fields, defaults, compared = [], {}, []
         for base in bases:
             if isinstance(base, _RecordType):
@@ -66,7 +64,6 @@ class _RecordType(type):
         ns.update(_fields=tuple(fields), _defaults=defaults, _compared=tuple(compared))
         if bases:
             ns["__init__"] = _first_init
-            ns["__hash__"] = Record.__hash__ if frozen else None
         return super().__new__(mcs, name, bases, ns)
 
 
@@ -111,9 +108,6 @@ class Record(metaclass=_RecordType):
             return self._key() == other._key()
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
         return f"{type(self).__qualname__}({shown})"
@@ -150,7 +144,7 @@ class SourceSpan:
     file, offset, length and the line table, and leave the four line and
     column slots unset until one is first read, when `__getattr__` fills
     all four from the table and lets go of it: a span holds a table only
-    while its lines are unread. `==`, `hash` and `repr()` read all seven
+    while its lines are unread. `==` and `repr()` read all seven
     fields, so a lazy span equals the eager span with the same values.
     """
 
@@ -180,9 +174,6 @@ class SourceSpan:
             return _span_values(self) == _span_values(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(_span_values(self))
-
     def __repr__(self) -> str:
         return "SourceSpan(" + ", ".join(f"{f}={v!r}" for f, v in zip(_SPAN_FIELDS, _span_values(self))) + ")"
 
@@ -211,17 +202,17 @@ class SourceSpan:
         )
 
 
-class TextEdit(Record, frozen=True):
+class TextEdit(Record):
     span: SourceSpan
     new_text: str
 
 
-class QuickFix(Record, frozen=True):
+class QuickFix(Record):
     title: str
     edits: tuple[TextEdit, ...]
 
 
-class Diagnostic(Record, frozen=True):
+class Diagnostic(Record):
     severity: str
     code: str
     message: str
@@ -280,20 +271,20 @@ POS_CATEGORIES = {
 }
 
 
-class PosPart(Record, frozen=True):
+class PosPart(Record):
     category: str  # key of POS_CATEGORIES
 
 
-class LitPart(Record, frozen=True):
+class LitPart(Record):
     text: str
 
 
-class FragmentRefPart(Record, frozen=True):
+class FragmentRefPart(Record):
     element_kind: str
     fragment: str  # id | name | description
 
 
-class AltPart(Record, frozen=True):
+class AltPart(Record):
     options: tuple  # of PosPart | LitPart | FragmentRefPart
 
 
@@ -304,18 +295,18 @@ class Attribute(Record):
     name: str
     data_type: str
     constraints: tuple[str, ...] = ()
-    default_value: Optional[str] = None
-    span: Optional[SourceSpan] = SPAN
+    default_value: str | None = None
+    span: SourceSpan | None = SPAN
 
 
 class Element(Record):
     id: str
-    name: Optional[str] = None
-    description: Optional[str] = None
-    span: Optional[SourceSpan] = SPAN
-    id_span: Optional[SourceSpan] = SPAN
-    name_span: Optional[SourceSpan] = SPAN
-    description_span: Optional[SourceSpan] = SPAN
+    name: str | None = None
+    description: str | None = None
+    span: SourceSpan | None = SPAN
+    id_span: SourceSpan | None = SPAN
+    name_span: SourceSpan | None = SPAN
+    description_span: SourceSpan | None = SPAN
 
     kind = "Element"
 
@@ -323,13 +314,13 @@ class Element(Record):
     def name_alias(self) -> str:
         return self.name if self.name is not None else self.id
 
-    def fragment_value(self, fragment: str) -> Optional[str]:
+    def fragment_value(self, fragment: str) -> str | None:
         return getattr(self, fragment) if fragment in FRAGMENTS else None
 
-    def fragment_span(self, fragment: str) -> Optional[SourceSpan]:
+    def fragment_span(self, fragment: str) -> SourceSpan | None:
         return getattr(self, fragment + "_span") if fragment in FRAGMENTS else None
 
-    def exact_fragment_span(self, fragment: str) -> Optional[SourceSpan]:
+    def exact_fragment_span(self, fragment: str) -> SourceSpan | None:
         """Content span of a fragment, only when its offsets map 1:1 to the file."""
         span = self.fragment_span(fragment)
         value = self.fragment_value(fragment)
@@ -341,30 +332,30 @@ class Element(Record):
 class DataEntity(Element):
     entity_type: str = "Other"
     attributes: tuple[Attribute, ...] = ()
-    is_a: Optional[str] = None
-    part_of: Optional[str] = None
-    is_a_span: Optional[SourceSpan] = SPAN
-    part_of_span: Optional[SourceSpan] = SPAN
+    is_a: str | None = None
+    part_of: str | None = None
+    is_a_span: SourceSpan | None = SPAN
+    part_of_span: SourceSpan | None = SPAN
 
 
 class Actor(Element):
     actor_type: str = "User"
-    is_a: Optional[str] = None
-    is_a_span: Optional[SourceSpan] = SPAN
+    is_a: str | None = None
+    is_a_span: SourceSpan | None = SPAN
 
 
 class UseCase(Element):
     uc_type: str = "Other"
-    primary_actor: Optional[str] = None
-    data_entity: Optional[str] = None
+    primary_actor: str | None = None
+    data_entity: str | None = None
     actions: tuple[str, ...] = ()
     extension_points: tuple[str, ...] = ()
-    extends_target: Optional[str] = None
-    extends_point: Optional[str] = None
-    precondition: Optional[str] = None
-    primary_actor_span: Optional[SourceSpan] = SPAN
-    data_entity_span: Optional[SourceSpan] = SPAN
-    extends_span: Optional[SourceSpan] = SPAN
+    extends_target: str | None = None
+    extends_point: str | None = None
+    precondition: str | None = None
+    primary_actor_span: SourceSpan | None = SPAN
+    data_entity_span: SourceSpan | None = SPAN
+    extends_span: SourceSpan | None = SPAN
 
 
 class Term(Element):
@@ -376,7 +367,7 @@ class LinguisticRuleDecl(Element):
     rule_kind: str = "Syntax"
     target_kind: str = "UseCase"
     fragment: str = "name"
-    pattern: Optional[tuple] = None  # the parts of `Part + Part ...`: PosPart | LitPart | FragmentRefPart | AltPart
+    pattern: tuple | None = None  # the parts of `Part + Part ...`: PosPart | LitPart | FragmentRefPart | AltPart
     severity: str = "Error"
 
 
@@ -386,7 +377,7 @@ class LinguisticLanguageDecl(Element):
 
 class Stakeholder(Element):
     stakeholder_type: str = "Other"
-    stakeholder_subtype: Optional[str] = None
+    stakeholder_subtype: str | None = None
 
 
 class FunctionalRequirement(Element):
@@ -396,16 +387,16 @@ class FunctionalRequirement(Element):
 class IncludeDecl(Record):
     mode: str  # Import | Include | IncludeAll
     from_system: str
-    element_kind: Optional[str] = None
-    element_id: Optional[str] = None
-    span: Optional[SourceSpan] = SPAN
+    element_kind: str | None = None
+    element_id: str | None = None
+    span: SourceSpan | None = SPAN
 
 
 class Model(Record):
     elements: list = []
     includes: list = []
-    language_decl: Optional[LinguisticLanguageDecl] = None
-    end_span: Optional[SourceSpan] = SPAN
+    language_decl: LinguisticLanguageDecl | None = None
+    end_span: SourceSpan | None = SPAN
 
     @property
     def language(self) -> str:
@@ -520,7 +511,7 @@ for _kind, _row in KIND_TABLE.items():
 ELEMENT_KINDS = tuple(KIND_TABLE)
 
 
-def element_type(elem: Element) -> tuple[str, Optional[str]]:
+def element_type(elem: Element) -> tuple[str, str | None]:
     """The `Type[.Subtype]` of an element's head: (type, subtype or None)."""
     row = KIND_TABLE[elem.kind]
     subtype = row.get("subtype")

@@ -30,8 +30,6 @@ column (see `lexer.LineTable`).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .lexer import tokenize
 from .model import (
     CONSTRAINTS,
@@ -84,7 +82,7 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[int]:
+    def accept(self, kind: str, text: str | None = None) -> int | None:
         """Consume the next token if it has this kind (and text); its index, or None."""
         pos = self.pos
         if self.kinds[pos] == kind and (text is None or self.texts[pos] == text):
@@ -92,7 +90,7 @@ class _Parser:
             return pos
         return None
 
-    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> int:
+    def expect(self, kind: str, text: str | None = None, what: str = "") -> int:
         """Consume the next token, which must have this kind (and text); its index, or give up."""
         pos = self.pos
         if self.kinds[pos] == kind and (text is None or self.texts[pos] == text):
@@ -100,11 +98,11 @@ class _Parser:
             return pos
         raise self.fail("RSL-S002", f"Expected {what or text or kind} but found '{self.texts[pos] or 'end of input'}'")
 
-    def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
+    def error(self, code: str, message: str, span: SourceSpan | None = None):
         span = span or self.span(self.pos)
         self.diagnostics.append(Diagnostic("Error", code, message, span))
 
-    def fail(self, code: str, message: str, span: Optional[SourceSpan] = None) -> _GiveUp:
+    def fail(self, code: str, message: str, span: SourceSpan | None = None) -> _GiveUp:
         """Report an error that stops the current parser; the caller writes `raise self.fail(...)`."""
         self.error(code, message, span)
         return _GiveUp()
@@ -240,18 +238,19 @@ class _Parser:
         """Clauses up to the closing `]`; each keyword dispatches through `_CLAUSES`."""
         kinds, texts = self.kinds, self.texts
         clauses = _CLAUSES[elem.kind]
+        attributes = []  # a DataEntity's, stored once, when the body ends or breaks off
+        closed = True
         try:
             while True:
                 pos = self.pos
                 kind = kinds[pos]
                 if kind == "]":
                     self.pos = pos + 1
-                    self.finish_body(elem)
-                    return True
+                    break
                 if kind == "end":
                     self.error("RSL-S002", "Expected ']' but found end of input")
-                    self.finish_body(elem)
-                    return False
+                    closed = False
+                    break
                 keyword = texts[pos]
                 if kind != "identifier" or keyword not in BODY_KEYWORDS:
                     raise self.fail("RSL-S002", f"Unexpected token '{keyword}' in element body", self.span(pos))
@@ -261,9 +260,18 @@ class _Parser:
                     raise self.fail(
                         "RSL-S002", f"Clause '{keyword}' is not allowed in a {elem.kind} body", self.span(pos)
                     )
-                setattr(elem, clause[1], _CLAUSE_VALUE[clause[2]](self, elem, pos, clause))
+                value = _CLAUSE_VALUE[clause[2]](self, elem, pos, clause)
+                if clause[2] == "attribute":
+                    attributes.append(value)
+                else:
+                    setattr(elem, clause[1], value)
         except _GiveUp:
             return False
+        finally:
+            if attributes:
+                elem.attributes = tuple(attributes)
+        self.finish_body(elem)
+        return closed
 
     def finish_body(self, elem: Element):
         if elem.kind == "DataEntity":
@@ -282,7 +290,8 @@ class _Parser:
                 self.error("RSL-S007", f"Term '{elem.id}' lists its own main word among its synonyms", elem.name_span)
 
     # Each clause-value parser takes the index of the clause keyword and
-    # returns the value of the clause's field, or gives up; it sets the
+    # returns the value of the clause's field (for an attribute clause, one
+    # attribute for `parse_body` to collect), or gives up; it sets the
     # span and any second field.
 
     def parse_string(self, elem: Element, keyword: int, clause) -> str:
@@ -331,7 +340,7 @@ class _Parser:
         elem.fragment = fragment
         return kind
 
-    def parse_attribute(self, entity: DataEntity, keyword: int, clause) -> tuple:
+    def parse_attribute(self, entity: DataEntity, keyword: int, clause) -> Attribute:
         """`id "Name" : Type [[constraints (...)] [defaultValue "..."]]`."""
         texts = self.texts
         id_i = self.expect("identifier", what="an attribute id")
@@ -358,15 +367,13 @@ class _Parser:
                     default_value = texts[self.expect("string", what="a string")]
                 else:
                     raise self.fail("RSL-S002", f"Unexpected token '{texts[self.pos]}' in attribute options")
-        return entity.attributes + (
-            Attribute(
-                id=texts[id_i],
-                name=texts[name_i],
-                data_type=texts[type_i],
-                constraints=tuple(constraints),
-                default_value=default_value,
-                span=self.span_from(keyword),
-            ),
+        return Attribute(
+            id=texts[id_i],
+            name=texts[name_i],
+            data_type=texts[type_i],
+            constraints=tuple(constraints),
+            default_value=default_value,
+            span=self.span_from(keyword),
         )
 
     # -- linguistic patterns -------------------------------------------------

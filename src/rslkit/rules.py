@@ -25,8 +25,6 @@ then compares O(parts x tokens x longest name) token windows:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .checks import fresh_ids
 from .lexicon import WORD_RE, Lexicon, Token, analyze, split_sentences
 from .model import (
@@ -52,20 +50,20 @@ def normalize(text: str) -> str:
     return " ".join(WORD_RE.findall(text.lower()))
 
 
-def fragment_ref(part) -> Optional[FragmentRefPart]:
+def fragment_ref(part) -> FragmentRefPart | None:
     """The fragment reference a failing part expected: itself, or an alternation's first one."""
     if isinstance(part, AltPart):
         return next((o for o in part.options if isinstance(o, FragmentRefPart)), None)
     return part if isinstance(part, FragmentRefPart) else None
 
 
-class MatchResult(Record, frozen=True):
+class MatchResult(Record):
     matched: bool
     prefix_len: int = 0  # tokens consumed on success
     fail_part_index: int = 0
     fail_token_index: int = 0
-    expectation: Optional[object] = None  # the unmet pattern part
-    candidate: Optional[str] = None  # suggested name for FragmentRef failures
+    expectation: object | None = None  # the unmet pattern part
+    candidate: str | None = None  # suggested name for FragmentRef failures
 
 
 class FragmentIndex:
@@ -118,7 +116,7 @@ def _consume(part, tokens: list[Token], ti: int, index: FragmentIndex):
                 yield run
 
 
-def _walk(parts, tokens: list[Token], index: FragmentIndex, pi: int, ti: int, failed: set, best: list) -> Optional[int]:
+def _walk(parts, tokens: list[Token], index: FragmentIndex, pi: int, ti: int, failed: set, best: list) -> int | None:
     """Tokens consumed when parts[pi:] match from ti, else None; failures go to `failed` and `best`."""
     if pi == len(parts):
         return ti

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from typing import Optional
 
 from .model import Record
 
@@ -107,42 +106,42 @@ def parse_template(text: str) -> list:
 
 # --- expressions ---------------------------------------------------------------
 
-class Lit(Record, frozen=True):
+class Lit(Record):
     value: object
 
 
-class Name(Record, frozen=True):
+class Name(Record):
     name: str
 
 
-class Member(Record, frozen=True):
+class Member(Record):
     obj: object
     name: str
 
 
-class Index(Record, frozen=True):
+class Index(Record):
     obj: object
     index: object
 
 
-class Unary(Record, frozen=True):
+class Unary(Record):
     op: str
     operand: object
 
 
-class Binary(Record, frozen=True):
+class Binary(Record):
     op: str
     left: object
     right: object
 
 
-class Conditional(Record, frozen=True):
+class Conditional(Record):
     cond: object
     then: object
     other: object
 
 
-class Call(Record, frozen=True):
+class Call(Record):
     func: str
     args: tuple
 
@@ -177,17 +176,17 @@ class _ExprParser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Optional[tuple[str, str]]:
+    def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def accept(self, kind: str, text: Optional[str] = None):
+    def accept(self, kind: str, text: str | None = None):
         tok = self.peek()
         if tok and tok[0] == kind and (text is None or tok[1] == text):
             self.pos += 1
             return tok
         return None
 
-    def expect(self, kind: str, text: Optional[str] = None):
+    def expect(self, kind: str, text: str | None = None):
         tok = self.accept(kind, text)
         if tok is None:
             raise TemplateSyntaxError(self.position, f"expected {text or kind} in expression '{self.source}'")
@@ -449,7 +448,7 @@ def render(tpl: list, root: dict, strict: bool = True) -> str:
     return "".join(out)
 
 
-def _walk(nodes: list, scopes: list[dict], out: list[str], unresolved: Optional[list[str]]):
+def _walk(nodes: list, scopes: list[dict], out: list[str], unresolved: list[str] | None):
     """Render nodes into out; a tag whose value is NULL goes to unresolved, or renders empty without it."""
     for node in nodes:
         if isinstance(node, str):

@@ -7,7 +7,6 @@ Import only makes another system's names visible for reference binding.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 from . import parser
 from .model import (
@@ -35,7 +34,7 @@ class Workspace(Record):
     systems: dict = {}  # system id -> Model, the systems parsed so far
     parse_diagnostics: dict = {}  # system id -> [Diagnostic]
     io_errors: list = []  # (system id, path, message)
-    lexes: Optional[dict] = None  # system id -> relex.Lex of its last parse; `fix` sets a defaultdict(Lex)
+    lexes: dict | None = None  # system id -> relex.Lex of its last parse; `fix` sets a defaultdict(Lex)
 
     def __contains__(self, system_id: str) -> bool:
         return system_id in self.sources
@@ -53,7 +52,7 @@ class Workspace(Record):
         if self.lexes is not None and system_id in self.lexes:
             self.lexes[system_id].edits = edits
 
-    def system(self, system_id: str) -> Optional[Model]:
+    def system(self, system_id: str) -> Model | None:
         """Model of a registered system, parsed on the first request; None if unknown."""
         model = self.systems.get(system_id)
         if model is None and system_id in self.sources:
@@ -64,7 +63,7 @@ class Workspace(Record):
             self.parse_diagnostics[system_id] = diags
         return model
 
-    def system_of(self, model: Model) -> Optional[str]:
+    def system_of(self, model: Model) -> str | None:
         """Id of the system whose current parse is `model`; None for a model no longer registered."""
         return next((name for name, m in self.systems.items() if m is model), None)
 
@@ -95,13 +94,13 @@ def add_system(ws: Workspace, system_id: str, source: str, file: str) -> Model:
 
 class ResolvedModel(Record):
     model: Model
-    system_id: Optional[str]
+    system_id: str | None
     effective_elements: list
     diagnostics: list
     bindings: dict = {}  # (id(element), field) -> element
     pulled: dict = {}  # id(include) -> elements it pulled, for each Include/IncludeAll that resolved cleanly
 
-    def binding(self, elem: Element, ref_field: str) -> Optional[Element]:
+    def binding(self, elem: Element, ref_field: str) -> Element | None:
         return self.bindings.get((id(elem), ref_field))
 
     def index(self) -> dict:
@@ -143,7 +142,7 @@ def _included_elements(
 
 def _resolve_include(
     ws: Workspace, inc: IncludeDecl, depth: int, visiting: tuple, diags: list
-) -> Optional[list]:
+) -> list | None:
     if inc.from_system not in ws:
         diags.append(
             Diagnostic("Error", "RSL-R002", f"Unknown system '{inc.from_system}'", inc.span)
@@ -224,7 +223,7 @@ def resolve(model: Model, ws: Workspace) -> ResolvedModel:
     return rm
 
 
-def inline_include_fix(inc: IncludeDecl, rm: ResolvedModel) -> Optional[Diagnostic]:
+def inline_include_fix(inc: IncludeDecl, rm: ResolvedModel) -> Diagnostic | None:
     """Info diagnostic offering to replace an include of `rm`'s model with the elements it pulled."""
     pulled = rm.pulled.get(id(inc))
     if not pulled:

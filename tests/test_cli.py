@@ -787,12 +787,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 # Each command line below writes to stdout: a small report, a line after the
-# output file is written, and a report larger than stdout's 8 KB buffer, so
-# that a buffered write fails while the command runs and again at the exit.
+# output file is written, a report larger than stdout's 8 KB buffer, so
+# that a buffered write fails while the command runs and again at the exit,
+# and the help of rslkit and of one command, which argparse would print.
 STDOUT_WRITERS = {
     "check": ["check", "--format", "json", str(FIXTURES / "billing_defects.rsl")],
     "gen": ["gen", "json", str(FIXTURES / "billing_clean.rsl"), "-o", "out.json"],
     "large report": ["check", "copies.rsl"],
+    "help": ["--help"],
+    "check help": ["check", "--help"],
 }
 
 

@@ -1,11 +1,12 @@
-"""The garbage-collector policy of one CLI run, and the premise that makes it safe.
+"""The garbage-collector policy of one CLI run, and the premises that make it safe.
 
-`cli.main` freezes the heap it starts with and collects the youngest
-generation rarely while a command runs, then gives its caller back the
-GC state it found. Collecting rarely costs no memory only because a run
-leaves a constant amount of cyclic garbage, whatever the size of the
-spec; the second test pins that, and the last that rendering a template
-leaves none.
+`cli.main` collects the youngest generation rarely while a command runs,
+then gives its caller back the GC thresholds it found. At that
+threshold, no collection starts while a command runs on a benchmark
+workload at half size. Collecting rarely costs no memory only because
+a run leaves a constant amount of cyclic garbage, whatever the size of
+the spec; two tests pin that, and one that rendering a template leaves
+none.
 
 A command run as a process, by `python -m rslkit.cli` or by the `rslkit`
 console script, exits with its heap frozen, so the collections the
@@ -66,6 +67,33 @@ def test_main_leaves_the_gc_state_as_it_found_it(frozen, enabled, restore_gc, ca
     assert gc_state() == before
     assert main(["no-such-command"]) == 2
     assert gc_state() == before
+
+
+@pytest.mark.parametrize("name", ["lint_single", "workspace_fanout", "fix_and_emit"])
+def test_no_collection_starts_while_a_command_runs(name, tmp_path, monkeypatch, restore_gc):
+    workload = _load_gen().make(name, 901, 0.5)
+    for rel, text in workload.files.items():
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    for argv, expected in [
+        (["check", "--format", "json", *workload.inputs], workload.check_exit),
+        (["gen", "json", *workload.gen_inputs, "-o", "out.json"], 0),
+        (["fix", "--apply", *workload.inputs], workload.fix_exit),  # last: it rewrites the inputs
+    ]:
+        gc.collect()  # a process reaches `main` with fewer than 700 objects in its young generation
+        gc.callbacks.append(count)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == expected
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == [], (argv[0], starts)
 
 
 def cyclic_garbage(workload, workdir, monkeypatch, gen_json=False) -> int:

@@ -174,8 +174,8 @@ class TestRuleMechanics:
         _, diags = check_source(src)
         l001 = by_code(diags, "RSL-L001")
         assert len(l001) == 2
-        edits = {f.edits for d in l001 for f in d.fixes}
-        assert len(edits) == 1, "both diagnostics must share one create fix"
+        first, *rest = (f.edits for d in l001 for f in d.fixes)
+        assert all(edits == first for edits in rest), "both diagnostics must share one create fix"
 
     def test_created_id_is_fresh(self):
         src = (

@@ -2,6 +2,7 @@
 
 import random
 import string
+import time
 
 import pytest
 
@@ -188,6 +189,21 @@ class TestRecovery:
     def test_misspelled_kind_rejected(self):
         _, diags = parse('DateEntity e "E" : Other', "f")
         assert by_code(diags, "RSL-S001")
+
+
+def test_an_entity_parses_in_linear_time_in_its_attributes():
+    def seconds(n: int) -> float:
+        source = "DataEntity e : Other [\n" + "".join(f'  attribute a_{i} "A" : Integer\n' for i in range(n)) + "]\n"
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            model, _ = parse(source, "f")
+            best = min(best, time.perf_counter() - start)
+        assert len(model.elements[0].attributes) == n
+        return best
+
+    # 16 times the attributes: a linear parse takes about 16 times as long, a quadratic one about 256.
+    assert seconds(16_000) / seconds(1_000) < 40
 
 
 class TestTotality:

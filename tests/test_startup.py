@@ -6,6 +6,7 @@ These tests run each command in a fresh interpreter and read
 `sys.modules` there.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -161,6 +162,20 @@ def test_import_rslkit_loads_no_submodule_and_every_public_name_resolves():
     assert rslkit.print_model is importlib.import_module("rslkit.printer").print_model
     with pytest.raises(AttributeError):
         rslkit.no_such_name
+
+
+def test_no_module_imports_typing():
+    # Every module that annotates has `from __future__ import annotations`,
+    # so no annotation is evaluated and `X | None` needs no `typing`.
+    for path in sorted((ROOT / "src" / "rslkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules if m.partition(".")[0] == "typing"], (path.name, node.lineno)
 
 
 AUDIT = """
