@@ -277,12 +277,6 @@ def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
 
 # --- scheduler ----------------------------------------------------------------
 
-def pick_lexicon(language: str, overrides: dict | None = None) -> Lexicon | None:
-    if overrides and language in overrides:
-        return overrides[language]
-    return builtin_lexicon(language)
-
-
 def run_all_checks(
     rm: ResolvedModel,
     ws: Workspace,
@@ -295,10 +289,11 @@ def run_all_checks(
     diags.extend(check_unique_ids(rm))
 
     language = rm.model.language
-    has_lexicon = language in (lexicons or ()) or language in BUILTIN_LEXICONS
+    lexicons = lexicons or {}
     glossary, glossary_diags = build_glossary(rm)
     diags.extend(glossary_diags)
-    if not has_lexicon:
+    rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
+    if language not in lexicons and language not in BUILTIN_LEXICONS:
         diags.append(
             Diagnostic(
                 "Error",
@@ -307,20 +302,17 @@ def run_all_checks(
                 rm.model.language_decl.span,  # only English goes without a declaration, and it has a lexicon
             )
         )
-    rules = [e for e in rm.effective_elements if isinstance(e, LinguisticRuleDecl)]
+        rules = []
     # A shipped lexicon loads only for a check that reads it: a rule, or a synonym to look up.
     lex = None
     if rules or glossary:
-        if has_lexicon:
-            lex = pick_lexicon(language, lexicons)
-        else:
-            from .lexicon import Lexicon
+        from .lexicon import Lexicon
 
-            lex = Lexicon()
+        lex = lexicons.get(language) or builtin_lexicon(language) or Lexicon()
     diags.extend(check_glossary(rm, lex, glossary))
     diags.extend(check_hierarchy_cycles(rm))
 
-    if has_lexicon and rules:
+    if rules:
         diags.extend(check_linguistic_rules(rm, rules, lex))
 
     for inc in rm.model.includes:

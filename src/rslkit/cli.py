@@ -15,7 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from .checks import run_all_checks
-from .model import LANGUAGES, Diagnostic, OverlappingEdits, TextEdit, apply_edits, edit_order
+from .model import LANGUAGES, Diagnostic, TextEdit, apply_edits, edit_order
 from .workspace import Workspace, load_workspace, read_spec, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
@@ -320,11 +320,7 @@ def cmd_fix(args) -> int:
     for path, edits in sorted(per_file.items()):
         # Every edit span comes from the parse of a registered text, so its file is registered.
         old = next(text for text, file in ws.sources.values() if file == path)
-        try:
-            new = apply_edits(old, edits)
-        except OverlappingEdits as exc:
-            write_stdout(f"skipped fixes for {path}: {exc}\n")
-            continue
+        new = apply_edits(old, edits)
         if new != old:
             fixed[path] = (old, new)
 

@@ -3,24 +3,22 @@
 Everything here is immutable-by-convention. A parsed model's spans stay out
 of `==` so that reparsed models compare equal; a diagnostic's span counts.
 
-Every value class in rslkit but `SourceSpan` is a `Record`: a slotted
-class whose fields are its annotations, in order, base class fields
-first, with the class attribute of the same name as the default. A
-field whose default is a `Field` is outside `==` and `repr()`; every
-other field is inside both. An empty list or dict default is built anew
-for each instance. Each class gets one generated method, `__init__`
-(positional or keyword arguments, plain assignment), from one `exec` at
-the class's first construction, so importing a module compiles none and
-a command compiles only the constructors of the classes it builds.
-`__eq__` is `Record`'s own: two records are equal when they have the
-same class and equal tuples of compared fields. A class that defines
-`__eq__` and no `__hash__` is unhashable, so records and spans are
-never set members or dict keys. `_fields` lists the field names.
+Every value class in rslkit is a `Record`: a slotted class whose fields
+are its annotations, in order, base class fields first, with the class
+attribute of the same name as the default. A field whose default is a
+`Field` is outside `==` and `repr()`; every other field is inside both.
+An empty list or dict default is built anew for each instance. Each
+class gets one generated method, `__init__` (positional or keyword
+arguments, plain assignment), from one `exec` at the class's first
+construction, so importing a module compiles none and a command compiles
+only the constructors of the classes it builds. `__eq__` is `Record`'s
+own: two records are equal when they have the same class and equal
+tuples of compared fields. A class that defines `__eq__` and no
+`__hash__` is unhashable, so records are never set members or dict keys.
+`_fields` lists the field names.
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 
 class Field:
@@ -132,11 +130,9 @@ FRAGMENTS = ("id", "name", "description")
 
 
 _LINE_COLS = ("start_line", "start_col", "end_line", "end_col")
-_SPAN_FIELDS = ("file", *_LINE_COLS, "offset", "length")
-_span_values = attrgetter(*_SPAN_FIELDS)
 
 
-class SourceSpan:
+class SourceSpan(Record):
     """Region of a source file; lines/cols are 1-based, offset is 0-based.
 
     The seven-argument constructor gives every field up front. The spans
@@ -148,17 +144,14 @@ class SourceSpan:
     fields, so a lazy span equals the eager span with the same values.
     """
 
-    __slots__ = (*_SPAN_FIELDS, "_lines")
-
-    def __init__(self, file, start_line, start_col, end_line, end_col, offset, length):
-        self.file = file
-        self.start_line = start_line
-        self.start_col = start_col
-        self.end_line = end_line
-        self.end_col = end_col
-        self.offset = offset
-        self.length = length
-        self._lines = None
+    file: str
+    start_line: int
+    start_col: int
+    end_line: int
+    end_col: int
+    offset: int
+    length: int
+    _lines: object = Field()
 
     def __getattr__(self, name):  # reached only for a slot that is unset
         if name not in _LINE_COLS:
@@ -168,14 +161,6 @@ class SourceSpan:
             self.offset, self.offset + self.length
         )
         return getattr(self, name)
-
-    def __eq__(self, other):
-        if other.__class__ is SourceSpan:
-            return _span_values(self) == _span_values(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return "SourceSpan(" + ", ".join(f"{f}={v!r}" for f, v in zip(_SPAN_FIELDS, _span_values(self))) + ")"
 
     @property
     def end_offset(self) -> int:

@@ -8,7 +8,8 @@ go on reports why and gives up with `raise self.fail(...)` (or through
 
 - `parse_document`, around each declaration: a declaration that gives up
   is dropped, and `skip_to_top` resumes at the next top-level keyword at
-  bracket depth 0, as after any declaration that reported an error.
+  bracket depth 0 or at the start of a line, as after any declaration
+  that reported an error.
 - `parse_body`, around the clause loop: an element body that breaks off
   keeps the clauses read before the break, and the element is kept.
 
@@ -120,8 +121,12 @@ class _Parser:
         return self.lines.span(start, max(self.ends[i] - 1, start))
 
     def skip_to_top(self):
-        """Recover: skip until the next top-level keyword at bracket depth 0."""
-        kinds, texts = self.kinds, self.texts
+        """Recover: skip until the next top-level keyword at bracket depth 0 or at the start of a line.
+
+        A keyword in column 1 ends the skip at any depth, so one stray `[`
+        does not swallow every declaration after it.
+        """
+        kinds, texts, starts, source = self.kinds, self.texts, self.starts, self.lines.source
         pos, depth = self.pos, 0
         while True:
             kind = kinds[pos]
@@ -129,7 +134,11 @@ class _Parser:
                 depth += 1
             elif kind == "]":
                 depth = max(depth - 1, 0)
-            elif kind == "end" or (kind == "identifier" and depth == 0 and texts[pos] in TOP_KEYWORDS):
+            elif kind == "end" or (
+                kind == "identifier"
+                and texts[pos] in TOP_KEYWORDS
+                and (depth == 0 or starts[pos] == 0 or source[starts[pos] - 1] in "\r\n")
+            ):
                 break
             pos += 1
         self.pos = pos

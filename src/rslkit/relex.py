@@ -108,9 +108,11 @@ class Kept:
     diagnostics are a function of the tokens from its first one through
     the one that ended it, and a declaration whose tokens were all copied
     in one run of the re-lex parses as it did before, at offsets shifted
-    by that run's delta. Such a declaration is kept, but for a
-    LinguisticLanguage element: whether it is a duplicate (RSL-S005, after
-    which recovery skips on) depends on the declarations before it.
+    by that run's delta. Recovery also reads whether a token starts its
+    line, and a copied token keeps that: an edit to the line break before
+    a token re-lexes the token's line. Such a declaration is kept, but
+    for a LinguisticLanguage element: whether it is a duplicate (RSL-S005,
+    after which recovery skips on) depends on the declarations before it.
     """
 
     __slots__ = ("decls", "runs", "lines")

@@ -312,10 +312,6 @@ def parse_expression(source: str, position: int = 0) -> Expr:
 
 # --- evaluation ----------------------------------------------------------------
 
-def truthy(value) -> bool:
-    return bool(value)  # NULL, false, 0, "" and empty collections are false
-
-
 def stringify(value) -> str:
     if isinstance(value, str):
         return value

@@ -479,7 +479,7 @@ class TokenObjectParser:
         return tok
 
     def skip_to_top(self):
-        """Recover: skip until the next top-level keyword at bracket depth 0."""
+        """Recover: skip until the next top-level keyword at bracket depth 0 or in column 1."""
         depth = 0
         while not self.at("end"):
             tok = self.peek()
@@ -487,7 +487,7 @@ class TokenObjectParser:
                 depth += 1
             elif tok.kind == "punct" and tok.text == "]":
                 depth = max(depth - 1, 0)
-            elif tok.kind == "identifier" and tok.text in _TOP_KEYWORDS and depth == 0:
+            elif tok.kind == "identifier" and tok.text in _TOP_KEYWORDS and (depth == 0 or tok.span.start_col == 1):
                 return
             self.next()
 

@@ -17,7 +17,7 @@ from oracles import (
     oracle_fresh_id,
 )
 from rslkit import checks
-from rslkit.checks import build_glossary, check_glossary, cycle_nodes, pick_lexicon, strongly_connected_components
+from rslkit.checks import build_glossary, builtin_lexicon, check_glossary, cycle_nodes, strongly_connected_components
 from rslkit.lexicon import Lexicon
 from rslkit.model import apply_edits
 from rslkit.printer import print_model
@@ -183,7 +183,7 @@ def glossary_inputs(source: str, extra: dict | None = None):
         add_system(ws, name, text, f"{name}.rsl")
     rm = resolve(model, ws)
     language = rm.model.language
-    return rm, pick_lexicon(language) or Lexicon(), build_glossary(rm)[0]
+    return rm, builtin_lexicon(language) or Lexicon(), build_glossary(rm)[0]
 
 
 def assert_glossary_matches_oracle(source: str, extra: dict | None = None) -> int:

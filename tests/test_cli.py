@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import os
 import shutil
@@ -21,7 +22,7 @@ from oracles import oracle_collect_fix_edits
 from rslkit import cli
 from rslkit.cli import collect_fix_edits, main
 from rslkit.lexicon import load_lexicon
-from rslkit.model import Diagnostic, QuickFix, SourceSpan, TextEdit
+from rslkit.model import Diagnostic, QuickFix, SourceSpan, TextEdit, apply_edits, edit_order
 from rslkit.parser import BODY_KEYWORDS, TOP_KEYWORDS
 from test_lexer import PIECES
 from test_template import DIGIT_LIMIT, needs_digit_limit
@@ -228,11 +229,6 @@ class TestFix:
         _, out, _ = run(["check", str(doc)], capsys)
         assert "RSL-L001" in out and "RSL-V001" not in out
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="recovery stays at bracket depth 1 after the stray '[ [', so the Stakeholder and every "
-        "element a fix appends after it are dropped unseen, and each round appends the same element again",
-    )
     def test_repeated_fixes_reach_a_fixed_point(self, tmp_path, capsys):
         doc = tmp_path / "spec.rsl"
         doc.write_text(
@@ -407,6 +403,19 @@ def test_collect_fix_edits_chooses_what_the_oracle_chooses(diags, create_missing
     assert list(per_file) == list(want)
     for file, edits in want.items():
         assert per_file[file] == sorted(edits, key=lambda e: (e.span.offset, e.span.end_offset))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(fix_diagnostics(), st.booleans())
+def test_collected_edits_are_what_apply_edits_accepts(diags, create_missing):
+    """Each file's edits are in `edit_order`, no two overlap and no offset has two insertions, so `apply_edits` takes them."""
+    per_file, _ = collect_fix_edits(diags, create_missing)
+    for edits in per_file.values():
+        assert edits == sorted(edits, key=edit_order)
+        assert not any(a.span.overlaps(b.span) for a, b in itertools.combinations(edits, 2))
+        insertions = [e.span.offset for e in edits if e.span.length == 0]
+        assert len(insertions) == len(set(insertions))
+        apply_edits("x" * 16, edits)  # the strategy's edits end by offset 15
 
 
 class TestLineEndings:

@@ -190,6 +190,19 @@ class TestRecovery:
         _, diags = parse('DateEntity e "E" : Other', "f")
         assert by_code(diags, "RSL-S001")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_stray_bracket_is_skipped_up_to_a_keyword_in_column_1(self, newline):
+        src = (
+            'UseCase uc_1 "Print Invoice" : Other [\n'
+            "  primaryActor sh_Op sh_FinanceTeam [ [\n"
+            "  Actor a_1 : User\n"  # inside the brackets and not in column 1: skipped
+            "]\n"
+            'Stakeholder sh_Op "Operator" : Other\n'
+        ).replace("\n", newline)
+        model, diags = parse(src, "f")
+        assert [e.id for e in model.elements] == ["uc_1", "sh_Op"]
+        assert by_code(diags, "RSL-S002")
+
 
 def test_an_entity_parses_in_linear_time_in_its_attributes():
     def seconds(n: int) -> float:

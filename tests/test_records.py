@@ -77,7 +77,7 @@ def test_equality_needs_the_same_class():
 def test_mutable_records_are_unhashable():
     # Nothing stops an assignment to a record or a span, so none of them is
     # hashable: a class that defines `__eq__` and no `__hash__` gets `__hash__ = None`.
-    for cls in (*record_classes(), SourceSpan):
+    for cls in record_classes():
         assert cls.__hash__ is None, cls
     for x, y in [
         (span(4), span(4)),
@@ -102,6 +102,13 @@ def test_repr_leaves_out_span_fields():
     assert repr(Model(end_span=span(2))) == "Model(elements=[], includes=[], language_decl=None)"
     assert repr(PosPart("Verb")) == "PosPart(category='Verb')"
     assert "_ids" not in repr(Workspace())
+
+
+def test_a_span_is_a_record():
+    assert issubclass(SourceSpan, Record)
+    assert repr(SourceSpan("f.rsl", 1, 2, 1, 5, 1, 3)) == (
+        "SourceSpan(file='f.rsl', start_line=1, start_col=2, end_line=1, end_col=5, offset=1, length=3)"
+    )
 
 
 def test_field_tuple_lists_base_fields_first():

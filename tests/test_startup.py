@@ -137,6 +137,19 @@ def test_check_of_an_empty_spec_loads_only_the_modules_it_runs(tmp_path):
     assert run["modules"] == PLAIN_CHECK_MODULES
 
 
+def test_rules_of_a_language_without_a_lexicon_load_no_tagger_or_matcher(tmp_path):
+    (tmp_path / "es.rsl").write_text(
+        "LinguisticLanguage l : Spanish\n"
+        'LinguisticRule LR_1 "Use Case name" : Syntax [ property UseCase.name pattern Verb severity Error ]\n'
+        'UseCase uc_1 "Pagar Factura" : Other\n',
+        encoding="utf-8",
+    )
+    run = run_in_fresh_interpreter(["check", "--format", "json", "es.rsl"], tmp_path)
+    assert run["exit"] == 1
+    assert [d["code"] for d in json.loads(run["stdout"])["files"][0]["diagnostics"]] == ["RSL-C004"]
+    assert run["modules"] == PLAIN_CHECK_MODULES
+
+
 @pytest.mark.parametrize(
     "name", ["check --format json billing_defects.rsl", "check --format json billing_include.rsl"]
 )

@@ -21,7 +21,6 @@ from rslkit.template import (
     parse_template,
     render,
     stringify,
-    truthy,
 )
 
 
@@ -330,9 +329,10 @@ class TestStringify:
         assert stringify(range(2)) == "range(0, 2)"
 
     def test_truthy(self):
-        assert truthy([1]) and truthy("x") and truthy(1)
-        assert not truthy([]) and not truthy("") and not truthy(0)
-        assert not truthy(NULL) and not truthy(None)
+        for value in ([1], "x", 1, True, {"a": 1}):
+            assert run("{#v}y{/v}", {"v": value}) == "y"
+        for value in ([], "", 0, False, {}, NULL, None):
+            assert run("{#v}y{/v}", {"v": value}) == ""
 
 
 # Pieces of the tag and expression syntax, so random text reaches deep into both parsers.
@@ -435,7 +435,7 @@ def test_evaluate_agrees_with_the_oracle(source, scopes):
     if value is not NULL:
         assert repr(value) == repr(expected)
     assert stringify(value) == oracle_stringify(expected)
-    assert truthy(value) == oracle_truthy(expected)
+    assert bool(value) == oracle_truthy(expected)
 
 
 # Numbers past what an int or float can carry: a literal too long to read, sums and
