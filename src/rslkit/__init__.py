@@ -18,7 +18,6 @@ _HOMES = {
     "TextEdit": "model",
     "Workspace": "workspace",
     "apply_edits": "model",
-    "load_workspace": "workspace",
     "parse": "parser",
     "print_element": "printer",
     "print_model": "printer",

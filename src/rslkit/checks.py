@@ -174,66 +174,51 @@ def check_glossary(rm: ResolvedModel, lex: Lexicon | None, entries: dict) -> lis
 
 # --- hierarchy cycles ---------------------------------------------------------
 
-def strongly_connected_components(graph: dict) -> list[list]:
-    """Iterative Tarjan over an adjacency dict {node: [successor, ...]}."""
-    index_of: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = [0]
-
-    for root in graph:
-        if root in index_of:
-            continue
-        work = [(root, iter(graph.get(root, ())))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in graph:
-                    continue
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
-    return sccs
-
-
 def cycle_nodes(graph: dict) -> set:
-    """Nodes lying on at least one directed cycle."""
-    flagged = set()
-    for scc in strongly_connected_components(graph):
-        if len(scc) > 1:
-            flagged.update(scc)
+    """Nodes on at least one directed cycle of {node: [successor, ...]}; a successor that is not a key is skipped.
+
+    Kosaraju's two passes: the first lists each node once all the nodes it
+    reaches are listed; the second, in reverse of that order, collects over
+    reversed edges the unplaced nodes that reach each unplaced one, its
+    strongly connected component.
+    """
+    finished = []
+    visited = set()
+    for root in graph:
+        if root in visited:
+            continue
+        visited.add(root)
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, succs = stack[-1]
+            for succ in succs:
+                if succ in graph and succ not in visited:
+                    visited.add(succ)
+                    stack.append((succ, iter(graph[succ])))
+                    break
+            else:
+                stack.pop()
+                finished.append(node)
+
+    preds = {node: [] for node in graph}
     for node, succs in graph.items():
-        if node in succs:
-            flagged.add(node)
+        for succ in succs:
+            if succ in preds:
+                preds[succ].append(node)
+    flagged = {node for node, succs in graph.items() if node in succs}
+    placed = set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        component = [root]
+        for node in component:  # grows as it is walked
+            for pred in preds[node]:
+                if pred not in placed:
+                    placed.add(pred)
+                    component.append(pred)
+        if len(component) > 1:
+            flagged.update(component)
     return flagged
 
 
@@ -242,18 +227,20 @@ _HIERARCHIES = [(kind, *c) for kind, row in KIND_TABLE.items() for c in row["cla
 
 
 def check_hierarchy_cycles(rm: ResolvedModel) -> list[Diagnostic]:
+    """RSL-V003 for each element on a cycle of one hierarchy; each graph's nodes are positions in the effective list."""
     diags = []
-    order = {id(e): i for i, e in enumerate(rm.effective_elements)}
+    elements = rm.effective_elements
+    position = {id(e): i for i, e in enumerate(elements)}
     for kind, keyword, rel, _, _, span_field in _HIERARCHIES:
-        nodes = [e for e in rm.effective_elements if e.kind == kind]
-        graph = {id(e): [] for e in nodes}
-        by_key = {id(e): e for e in nodes}
-        for e in nodes:
-            target = rm.binding(e, rel)
-            if target is not None and id(target) in graph:
-                graph[id(e)].append(id(target))
-        for key in sorted(cycle_nodes(graph), key=lambda k: order[k]):
-            elem = by_key[key]
+        graph = {}
+        for i, e in enumerate(elements):
+            if e.kind == kind:
+                parent = rm.binding(e, rel)
+                # An unbound parent, and one from an imported pool, has no position: it adds no edge.
+                at = None if parent is None else position.get(id(parent))
+                graph[i] = [] if at is None else [at]
+        for i in sorted(cycle_nodes(graph)):
+            elem = elements[i]
             edge = getattr(elem, span_field)
             fixes = ()
             if edge is not None:
@@ -332,13 +319,8 @@ def finalize(diags: list[Diagnostic]) -> list[Diagnostic]:
     a span reads its line and column, which a run that prints none, such
     as `fix --apply`, need never look up.
     """
-    seen = set()
-    out = []
+    first: dict = {}
     for d in sorted(diags, key=Diagnostic.sort_key):
         span = d.span
-        key = (d.code, span.file, span.offset, span.length, d.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(d)
-    return out
+        first.setdefault((d.code, span.file, span.offset, span.length, d.message), d)
+    return list(first.values())

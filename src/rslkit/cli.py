@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 from bisect import bisect_left
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .checks import run_all_checks
 from .model import LANGUAGES, Diagnostic, TextEdit, apply_edits, edit_order
-from .workspace import Workspace, load_workspace, read_spec, resolve
+from .workspace import Workspace, read_spec, resolve
 
 AUTO_FIX_CODES = {"RSL-V001", "RSL-V002", "RSL-V003", "RSL-I001"}
 
@@ -71,49 +72,40 @@ def read_manifest(path: str) -> dict:
 
 
 def build_workspace(paths: list[str], args):
-    """Returns (workspace, [systemId] of the target documents).
+    """(workspace, [systemId] of the targets): the targets are read in argument order, then the mapping's other systems.
 
-    Every file is read up front, so an unreadable one is a usage error; a
-    system is parsed only when resolution first reaches it.
+    The first file that cannot be read, or id that names two files, is the
+    usage error; a system is parsed only when resolution first reaches it.
     """
     mapping = {}
     if args.manifest:
         mapping.update(read_manifest(args.manifest))
     mapping.update(parse_mapping(args.system, "--system"))
     name_of_file = {os.path.abspath(p): name for name, p in mapping.items()}
+    ws = Workspace()
+
+    def read(name: str, path: str, file: str) -> None:
+        try:
+            ws.register(name, read_spec(path), file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read '{path}': {exc}")
 
     targets = []
-    chosen: dict[str, str] = {}  # system id -> the path registered under it, as given
-    files = []  # (system id, file name its diagnostics carry), in reading order
-    clash = None
     for path in paths:
         where = os.path.abspath(path)
         name = name_of_file.get(where, Path(path).stem)
-        other = chosen.get(name, mapping.get(name))
+        other = ws.sources[name][1] if name in ws else mapping.get(name)
         if other is not None and os.path.abspath(other) != where:
-            clash = UsageError(
+            raise UsageError(
                 f"system id '{name}' names two files, '{other}' and '{path}'; "
                 "give one of them its own id with --system NAME=PATH"
             )
-            break
-        if name in chosen:
-            continue
-        chosen[name] = path
-        files.append((name, str(path)))
-        targets.append(name)
-    else:
-        for name, path in mapping.items():
-            if name not in chosen:
-                chosen[name] = path
-                files.append((name, str(Path(path))))
-    # The files before a clashing target are read first, so one of them
-    # that cannot be read is the error reported.
-    ws = load_workspace(files)
-    if ws.io_errors:
-        name, _file, message = ws.io_errors[0]
-        raise UsageError(f"cannot read '{chosen[name]}': {message}")
-    if clash is not None:
-        raise clash
+        if name not in ws:
+            read(name, path, path)
+            targets.append(name)
+    for name, path in mapping.items():
+        if name not in ws:
+            read(name, path, str(Path(path)))
     return ws, targets
 
 
@@ -189,7 +181,7 @@ def report_human(diags: list[Diagnostic]) -> str:
     lines = []
     for d in diags:
         s = d.span
-        first, *rest = d.message.splitlines()
+        first, *rest = d.message.split("\n")  # as the lexer counts lines, U+2028 and the like break none
         lines.append(f"{s.file}:{s.start_line}:{s.start_col}: {d.severity.lower()} {d.code}: {first}")
         lines += ["    " + r for r in rest]
         for f in d.fixes:
@@ -337,8 +329,8 @@ def cmd_fix(args) -> int:
 
         for path, (old, new) in sorted(fixed.items(), key=lambda item: str(Path(item[0]))):
             diff = difflib.unified_diff(
-                old.splitlines(keepends=True),
-                new.splitlines(keepends=True),
+                io.StringIO(old, newline="").readlines(),  # the lines the lexer counts: U+2028 and the like end none
+                io.StringIO(new, newline="").readlines(),
                 fromfile=str(Path(path)),
                 tofile=str(Path(path)) + " (fixed)",
             )

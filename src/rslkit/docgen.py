@@ -17,7 +17,7 @@ def ensure_valid(diags: list[Diagnostic]) -> str | None:
     if not errors:
         return None
     lines = [f"specification has {len(errors)} error(s); generation refused"]
-    lines += ["  - " + d.message.splitlines()[0] for d in errors[:3]]
+    lines += ["  - " + d.message.partition("\n")[0] for d in errors[:3]]
     return "\n".join(lines)
 
 

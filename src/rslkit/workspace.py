@@ -33,7 +33,6 @@ class Workspace(Record):
     sources: dict = {}  # system id -> (text, file), every registered system
     systems: dict = {}  # system id -> Model, the systems parsed so far
     parse_diagnostics: dict = {}  # system id -> [Diagnostic]
-    io_errors: list = []  # (system id, path, message)
     lexes: dict | None = None  # system id -> relex.Lex of its last parse; `fix` sets a defaultdict(Lex)
 
     def __contains__(self, system_id: str) -> bool:
@@ -71,19 +70,6 @@ class Workspace(Record):
 def read_spec(path: str) -> str:
     """A spec's UTF-8 text with its line endings as they are on disk, so that `fix` writes them back unchanged."""
     return Path(path).read_bytes().decode("utf-8")
-
-
-def load_workspace(files: list[tuple[str, str]]) -> Workspace:
-    """Read every (systemId, path) pair and register it unparsed; read and decode failures are recorded, not raised."""
-    ws = Workspace()
-    for system_id, path in files:
-        try:
-            source = read_spec(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            ws.io_errors.append((system_id, path, str(exc)))
-            continue
-        ws.register(system_id, source, str(path))
-    return ws
 
 
 def add_system(ws: Workspace, system_id: str, source: str, file: str) -> Model:

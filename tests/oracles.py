@@ -21,6 +21,11 @@ The workspace-loader oracle is the eager loader the CLI used to have: it
 parses every input and manifest entry up front, whether or not a target
 reaches it.
 
+The load-outcome oracle states which problem, if any, stops a command
+before any check runs: each target in argument order, then each other
+system of the mapping, either names a system id that another file has
+already, or cannot be read; the first of these is reported.
+
 The parser oracle (`TokenObjectParser`) is the table-driven parser as it
 was before the lexer returned token arrays: it walks the tokenizer
 oracle's `OracleToken` list with a method call per token test, so the
@@ -64,6 +69,7 @@ found, the second re-slices the whole text once per edit.
 
 import argparse
 import json
+import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -411,6 +417,39 @@ def oracle_build_workspace(paths: list[str], args):
         seen.add(name)
         add_system(ws, name, cli.read_source(path, f"'{path}'"), str(Path(path)))
     return ws, targets
+
+
+def oracle_load_outcome(paths: list[str], mapping: dict) -> tuple[int, str]:
+    """(exit code, stderr) of `rslkit check` on `paths` with the `--system` `mapping`, when every readable file is clean.
+
+    Every target and every other system of the mapping is examined, and
+    the first problem found, in that order, is the one reported.
+    """
+
+    def unreadable(path: str) -> Optional[str]:
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            return f"cannot read '{path}': {exc}"
+        return None
+
+    name_of_file = {os.path.abspath(p): name for name, p in mapping.items()}
+    given = {}  # system id -> the target path read under it, as given
+    problems = []
+    for path in paths:
+        name = name_of_file.get(os.path.abspath(path), Path(path).stem)
+        other = given.get(name, mapping.get(name))
+        if other is not None and os.path.abspath(other) != os.path.abspath(path):
+            problems.append(
+                f"system id '{name}' names two files, '{other}' and '{path}'; "
+                "give one of them its own id with --system NAME=PATH"
+            )
+        elif name not in given:
+            given[name] = path
+            problems.append(unreadable(path))
+    problems += [unreadable(path) for name, path in mapping.items() if name not in given]
+    first = next((problem for problem in problems if problem is not None), None)
+    return (0, "") if first is None else (2, f"error: {first}\n")
 
 
 BODY_KEYWORDS = {

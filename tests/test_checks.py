@@ -1,6 +1,7 @@
 """Semantic checks: unique IDs, glossary consistency, hierarchy cycles."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -17,7 +18,7 @@ from oracles import (
     oracle_fresh_id,
 )
 from rslkit import checks
-from rslkit.checks import build_glossary, builtin_lexicon, check_glossary, cycle_nodes, strongly_connected_components
+from rslkit.checks import build_glossary, builtin_lexicon, check_glossary, cycle_nodes
 from rslkit.lexicon import Lexicon
 from rslkit.model import apply_edits
 from rslkit.printer import print_model
@@ -314,6 +315,27 @@ class TestHierarchyCycles:
         _, diags = check_source(src)
         assert by_code(diags, "RSL-V003") == []
 
+    def test_a_parent_from_an_imported_pool_adds_no_edge(self):
+        # In Shared, a_1 and a_base form a cycle; Main sees only its own a_1, whose parent is Shared's a_base.
+        ws = Workspace()
+        main = add_system(ws, "Main", "Import fromSystem Shared\n\nActor a_1 : User [isA a_base]\n", "main.rsl")
+        add_system(ws, "Shared", "Actor a_base : User [isA a_1]\n\nActor a_1 : User [isA a_base]\n", "shared.rsl")
+        rm = resolve(main, ws)
+        assert rm.binding(rm.effective_elements[0], "is_a") is not None
+        assert checks.check_hierarchy_cycles(rm) == []
+
+    def test_an_element_included_twice_is_flagged_once(self):
+        ws = Workspace()
+        include = "Include Actor fromSystem Shared element a_1\n"
+        main = add_system(ws, "Main", include * 2 + "\nActor a_2 : User [isA a_2]\n", "main.rsl")
+        add_system(ws, "Shared", "Actor a_1 : User [isA a_1]\n", "shared.rsl")
+        rm = resolve(main, ws)
+        assert [e.id for e in rm.effective_elements] == ["a_1", "a_1", "a_2"]
+        assert [d.message for d in checks.check_hierarchy_cycles(rm)] == [
+            "Cycle in hierarchy of Actor 'a_1'",
+            "Cycle in hierarchy of Actor 'a_2'",
+        ]
+
     def test_part_of_cycle_detected(self):
         src = (
             "DataEntity e_1 : Other [partOf e_2]\n"
@@ -345,6 +367,14 @@ def random_graph(rng, max_nodes=12, density=0.5, outside=0):
     return graph
 
 
+@st.composite
+def functional_graphs(draw):
+    """Up to 200 nodes of out-degree at most 1, as `isA` and `partOf` give, with self-loops and successors that are not keys."""
+    n = draw(st.integers(1, 200))
+    successors = draw(st.lists(st.none() | st.integers(0, n + 2), min_size=n, max_size=n))
+    return {i: [] if succ is None else [succ] for i, succ in enumerate(successors)}
+
+
 def random_dag(rng, max_nodes=12, density=0.5):
     graph = random_graph(rng, max_nodes, density)
     return {a: [b for b in succs if b > a] for a, succs in graph.items()}
@@ -371,10 +401,29 @@ class TestCycleDetector:
         for _ in range(300):
             assert cycle_nodes(random_dag(rng)) == set()
 
-    def test_scc_partition(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            graph = random_graph(rng)
-            sccs = strongly_connected_components(graph)
-            seen = [n for scc in sccs for n in scc]
-            assert sorted(seen) == sorted(graph), "SCCs must partition the nodes"
+    @settings(max_examples=150, deadline=None)
+    @given(functional_graphs())
+    def test_matches_reachability_oracle_on_functional_graphs(self, graph):
+        assert cycle_nodes(graph) == oracle_cycle_nodes(graph)
+
+    def test_a_long_chain_into_a_cycle_needs_no_recursion(self):
+        # 200,000 nodes: a recursive search would pass the interpreter's recursion limit many times over.
+        n = 200_000
+        graph = {i: [i + 1] for i in range(n - 1)}
+        graph[n - 1] = [n // 2]
+        assert cycle_nodes(graph) == set(range(n // 2, n))
+
+    def test_runs_in_linear_time(self):
+        def seconds(n: int) -> float:
+            graph = {i: [i + 1] for i in range(n - 1)}
+            graph[n - 1] = [n // 2]
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                flagged = cycle_nodes(graph)
+                best = min(best, time.perf_counter() - start)
+            assert len(flagged) == n - n // 2
+            return best
+
+        # 16 times the nodes: a linear search takes about 16 times as long, a quadratic one about 256.
+        assert seconds(16_000) / seconds(1_000) < 40

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, check_source
-from oracles import oracle_collect_fix_edits
+from oracles import oracle_collect_fix_edits, oracle_load_outcome
 from rslkit import cli
 from rslkit.cli import collect_fix_edits, main
 from rslkit.lexicon import load_lexicon
@@ -458,6 +458,39 @@ class TestLineEndings:
 
         assert seen(source.replace("\n", "\r\n")) == seen(source) == seen(source.replace("\n", "\r"))
 
+    # U+2028, U+2029, U+0085, "\x0b", "\x0c" and "\x1c" to "\x1e" end a line for `str.splitlines`, not for the lexer.
+    SPLITLINES_ONLY = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+
+    def test_dry_run_diff_numbers_lines_as_the_lexer_does(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        described = f'Actor a_2 "Buyer" : User [description "one{self.SPLITLINES_ONLY}two"]\n'
+        spec = 'Actor a_1 "Clerk" : User\n' + described + '\nActor a_3 "Seller" : User\nActor a_1 "Owner" : User\n'
+        Path("spec.rsl").write_text(spec, encoding="utf-8")
+        code, out, _ = run(["check", "spec.rsl"], capsys)
+        assert code == 1 and "spec.rsl:5:7: error RSL-V001" in out
+        code, out, _ = run(["fix", "--dry-run", "spec.rsl"], capsys)
+        assert code == 0
+        assert out == (
+            "--- spec.rsl\n+++ spec.rsl (fixed)\n@@ -2,4 +2,4 @@\n"
+            f' {described} \n Actor a_3 "Seller" : User\n-Actor a_1 "Owner" : User\n+Actor a_1_2 "Owner" : User\n'
+        )
+
+    def test_a_message_breaks_only_at_its_own_line_ends(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        literal = f"Print{self.SPLITLINES_ONLY}Now"
+        Path("rule.rsl").write_text(
+            'LinguisticRule lr_1 "Use case name" : Syntax [\n  property UseCase.name\n'
+            f'  pattern "{literal}" + Noun\n  severity Error\n]\n\nUseCase uc_1 "Archive Invoice" : EntityOther\n',
+            encoding="utf-8",
+        )
+        first = f"This text must follow the pattern '\"{literal}\" + (Noun)'"
+        report = f"rule.rsl:7:15: error RSL-L001: {first}\n    Expected the word '{literal}'\n"
+        code, out, _ = run(["check", "rule.rsl"], capsys)
+        assert (code, out) == (1, report + "1 diagnostic(s): 1 error(s), 0 warning(s)\n")
+        code, out, _ = run(["gen", "json", "rule.rsl", "-o", "out.json"], capsys)
+        refusal = f"specification has 1 error(s); generation refused\n  - {first}\n"
+        assert (code, out) == (1, report + "1 diagnostic(s): 1 error(s), 0 warning(s)\n" + refusal)
+
 
 class TestGen:
     def test_json_generation(self, tmp_path, capsys):
@@ -702,6 +735,29 @@ class TestReadErrorText:
         assert (code, err) == (2, f"error: cannot read './x.rsl': {self.MISSING}'x.rsl'\n")
         code, _, err = run(["check", "main.rsl", "sub/main.rsl", "./x.rsl"], capsys)
         assert code == 2 and err.startswith("error: system id 'main' names two files, 'main.rsl' and 'sub/main.rsl'")
+
+
+# What a target or a `--system` entry names: readable files, one stem in two directories,
+# missing files, a file that is not UTF-8 and a directory, several by more than one spelling.
+LOAD_PATHS = ["a.rsl", "./a.rsl", "sub/a.rsl", "b.rsl", "missing.rsl", "sub/missing.rsl", "latin1.rsl", "./latin1.rsl", "sub"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    targets=st.lists(st.sampled_from(LOAD_PATHS), min_size=1, max_size=5),
+    systems=st.lists(st.tuples(st.sampled_from(["a", "b", "X", "Y"]), st.sampled_from(LOAD_PATHS)), max_size=3),
+)
+def test_loading_reports_the_first_problem_of_the_targets_then_the_mapping(targets, systems, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir(exist_ok=True)
+    for spec in ("a.rsl", "sub/a.rsl", "b.rsl"):
+        (tmp_path / spec).write_text('Actor a_1 "Clerk" : User\n')
+    (tmp_path / "latin1.rsl").write_bytes(TestUndecodableInput.LATIN1)
+    argv = ["check", *targets, *(arg for name, path in systems for arg in ("--system", f"{name}={path}"))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == oracle_load_outcome(targets, dict(systems))
 
 
 def test_lexicon_override_decides_l001(tmp_path, capsys):

@@ -32,7 +32,7 @@ from rslkit.lexer import tokenize
 from rslkit.model import SourceSpan, TextEdit, apply_edits
 from rslkit.parser import parse
 from rslkit.relex import Lex
-from rslkit.workspace import Workspace, add_system, load_workspace
+from rslkit.workspace import Workspace, add_system, read_spec
 from test_lexer import RELEX_PIECES
 from test_parser_oracle import FIXTURE_TEXTS, all_spans, mutate
 
@@ -312,6 +312,8 @@ def test_fix_apply_on_malformed_mutants_agrees_with_a_fresh_check(tmp_path, monk
         # The exit code is that of a fresh check of the file written, and the
         # re-check found what a fresh parse of that text finds.
         assert code == run_quietly(["check", name, *extra]), (seed, kind)
-        files = [(path.stem, name)] + ([("SystemRules", "system_rules.rsl")] if extra else [])
-        assert rechecks[1] == check_all(load_workspace(files), [path.stem], {}), (seed, kind)
+        ws = Workspace()
+        for system_id, file in [(path.stem, name)] + ([("SystemRules", "system_rules.rsl")] if extra else []):
+            ws.register(system_id, read_spec(file), file)
+        assert rechecks[1] == check_all(ws, [path.stem], {}), (seed, kind)
     assert all(reached.values()), reached

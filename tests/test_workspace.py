@@ -14,7 +14,7 @@ from rslkit.workspace import (
     Workspace,
     add_system,
     inline_include_fix,
-    load_workspace,
+    read_spec,
     resolve,
 )
 
@@ -150,12 +150,9 @@ class TestIncludes:
 
 class TestInlining:
     def test_fixture_include_inlined(self):
-        ws = load_workspace(
-            [
-                ("SystemRules", fixture_path("system_rules.rsl")),
-                ("Main", fixture_path("billing_include.rsl")),
-            ]
-        )
+        ws = Workspace()
+        for name, fixture in (("SystemRules", "system_rules.rsl"), ("Main", "billing_include.rsl")):
+            ws.register(name, read_spec(fixture_path(fixture)), fixture_path(fixture))
         model = ws.system("Main")
         rm_before = resolve(model, ws)
         (inc,) = [i for i in model.includes if i.mode == "Include"]
@@ -216,31 +213,18 @@ class TestInlining:
         assert print_model(reparsed)  # printable canonical form exists
 
 
-def test_load_workspace_records_io_errors(tmp_path):
-    ws = load_workspace([("Missing", str(tmp_path / "nope.rsl"))])
-    assert ws.io_errors and ws.io_errors[0][0] == "Missing"
-    assert ws.systems == {}
-
-
-def test_load_workspace_records_decode_errors(tmp_path):
-    path = tmp_path / "latin1.rsl"
-    path.write_bytes(b'Actor a_x "Caf\xe9" : User\n')
-    ws = load_workspace([("Latin1", str(path))])
-    assert ws.io_errors and ws.io_errors[0][:2] == ("Latin1", str(path))
-    assert ws.systems == {}
-
-
-def test_load_workspace_parses_on_demand(tmp_path):
-    for name in ("a", "b"):
-        (tmp_path / f"{name}.rsl").write_text(f'Actor a_{name} "Clerk" : User\n', encoding="utf-8")
+def test_load_workspace_parses_on_demand():
+    """A registered system is parsed the first time it is asked for, and only then."""
     parsed = []
     real_parse = rslkit.parser.parse
     with mock.patch.object(rslkit.parser, "parse", lambda source, file, lex: parsed.append(file) or real_parse(source, file, lex)):
-        ws = load_workspace([("A", str(tmp_path / "a.rsl")), ("B", str(tmp_path / "b.rsl"))])
+        ws = Workspace()
+        for name in ("a", "b"):
+            ws.register(name.upper(), f'Actor a_{name} "Clerk" : User\n', f"{name}.rsl")
         assert parsed == [] and ws.systems == {}
-        assert "A" in ws and "B" in ws and ws.io_errors == []
+        assert "A" in ws and "B" in ws
         assert [e.id for e in ws.system("A").elements] == ["a_a"]
-    assert parsed == [str(tmp_path / "a.rsl")]
+    assert parsed == ["a.rsl"]
     assert list(ws.systems) == ["A"]
 
 
